@@ -9,6 +9,7 @@ package petscfun3d
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -23,10 +24,12 @@ import (
 )
 
 // TestPhaseProfileBaseline runs one profiled solve and writes the
-// measured phase report to BENCH_phases.json — the baseline the perf
-// trajectory tracks (see EXPERIMENTS.md). It also asserts the profiler's
-// core invariant on a real workload: the exclusive phase seconds sum to
-// the tracked wall time.
+// measured phase report in the layout of BENCH_phases.json, the baseline
+// the perf trajectory tracks (see EXPERIMENTS.md), to a temporary
+// directory, so the test leaves the checked-in record alone. It asserts
+// the profiler's core invariant on a real workload, that the exclusive
+// phase seconds sum to the tracked wall time, and that the written
+// profile stays within the canonical phase taxonomy.
 func TestPhaseProfileBaseline(t *testing.T) {
 	prof.Default.Reset()
 	prof.Default.Enable()
@@ -75,7 +78,8 @@ func TestPhaseProfileBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof.Default.Disable()
-	f, err := os.Create("BENCH_phases.json")
+	path := filepath.Join(t.TempDir(), "BENCH_phases.json")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +95,7 @@ func TestPhaseProfileBaseline(t *testing.T) {
 	// (the names internal/machine and the lint suite's profspan analyzer
 	// are built around); a drifting name would silently detach the
 	// measured tables from the model.
-	data, err := os.ReadFile("BENCH_phases.json")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
@@ -231,14 +232,26 @@ func Build(cfg Config) (*Problem, error) {
 
 // PCFactory returns the Schwarz preconditioner factory for the problem's
 // partition and Config, remembering the last-built preconditioner so the
-// parallel cost model can read per-subdomain work.
+// parallel cost model can read per-subdomain work. The factory owns one
+// preconditioner: a matrix with the block pattern it was built on
+// refreshes it in place (symbolic structure reused, values refactored),
+// any other matrix builds a new one. Each call therefore invalidates the
+// preconditioner the previous call returned, so a factory serves one
+// solve at a time.
 func (p *Problem) PCFactory(last **schwarz.Preconditioner) newton.PCFactory {
+	var pc *schwarz.Preconditioner
 	return func(a *sparse.BCSR) (krylov.Preconditioner, error) {
-		pc, err := schwarz.New(a, p.Part.Part, p.Part.NParts, schwarz.Options{
-			Overlap: p.Cfg.Overlap,
-			ILU:     ilu.Options{Level: p.Cfg.FillLevel, SinglePrecision: p.Cfg.SinglePrecision},
-			Pool:    p.Pool,
-		})
+		err := schwarz.ErrPatternChanged
+		if pc != nil {
+			err = pc.Refresh(a)
+		}
+		if errors.Is(err, schwarz.ErrPatternChanged) {
+			pc, err = schwarz.New(a, p.Part.Part, p.Part.NParts, schwarz.Options{
+				Overlap: p.Cfg.Overlap,
+				ILU:     ilu.Options{Level: p.Cfg.FillLevel, SinglePrecision: p.Cfg.SinglePrecision},
+				Pool:    p.Pool,
+			})
+		}
 		if err != nil {
 			return nil, err
 		}

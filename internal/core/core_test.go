@@ -3,7 +3,10 @@ package core
 import (
 	"testing"
 
+	"petscfun3d/internal/newton"
 	"petscfun3d/internal/perfmodel"
+	"petscfun3d/internal/schwarz"
+	"petscfun3d/internal/sparse"
 )
 
 func smallConfig() Config {
@@ -206,5 +209,54 @@ func TestRunSequentialViscous(t *testing.T) {
 	if !res.Newton.Converged {
 		t.Fatalf("viscous run did not converge: %g -> %g",
 			res.Newton.InitialRnorm, res.Newton.FinalRnorm)
+	}
+}
+
+// TestPCFactoryReusesPreconditioner: the factory refreshes the
+// preconditioner it built while the block pattern holds, and falls back
+// to a full build for a matrix with a different pattern.
+func TestPCFactoryReusesPreconditioner(t *testing.T) {
+	p, err := Build(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	q := p.Disc.FreestreamVector()
+	jac := p.Disc.JacobianPattern()
+	if err := p.Disc.AssembleJacobian(q, jac); err != nil {
+		t.Fatal(err)
+	}
+	newton.AddTimeDiagonal(jac, p.Disc.TimeScales(q), 10)
+	var last *schwarz.Preconditioner
+	factory := p.PCFactory(&last)
+	first, err := factory(jac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := factory(jac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first || last != first {
+		t.Error("same pattern did not refresh the factory's preconditioner")
+	}
+	diag := make([][]int32, jac.NB)
+	for i := range diag {
+		diag[i] = []int32{int32(i)}
+	}
+	other := sparse.NewBCSRPattern(jac.NB, jac.B, diag)
+	for i := 0; i < jac.NB; i++ {
+		blk, _ := other.BlockAt(i, i)
+		for c := 0; c < jac.B; c++ {
+			blk[c*jac.B+c] = 1
+		}
+	}
+	rebuilt, err := factory(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, ok := rebuilt.(*schwarz.Preconditioner)
+	if !ok || pc == first || last != pc {
+		t.Error("a different pattern did not build a new preconditioner")
 	}
 }

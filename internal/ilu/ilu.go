@@ -7,23 +7,48 @@
 package ilu
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"petscfun3d/internal/prof"
 	"petscfun3d/internal/sparse"
 )
 
-// Factorization holds the combined L\U factors of a block ILU(k)
-// factorization. L has implicit identity diagonal blocks; U's diagonal
-// blocks are stored inverted for fast triangular solves.
-type Factorization struct {
+// symbolic is the value-independent half of a factorization: the ILU(k)
+// fill pattern, the level-set schedule of the solves, and the scatter of
+// A's blocks into the pattern. It is a pure function of A's sparsity and
+// the fill level, so it is built once and reused by every Refactor.
+type symbolic struct {
 	NB     int
 	B      int
 	Level  int
 	RowPtr []int32
 	ColIdx []int32 // sorted within each row; includes the diagonal
 	diagK  []int32 // index (block slot) of the diagonal in each row
+
+	// Level-set schedule of the triangular solves (levels.go): block
+	// rows grouped by dependency depth in the L (forward) and U
+	// (backward) DAGs, computed once from the symbolic pattern. Level
+	// l's rows are fwdRows[fwdPtr[l]:fwdPtr[l+1]] (ascending within each
+	// level); rows of one level depend only on rows of earlier levels,
+	// so a level can run on the worker pool.
+	fwdRows, bwdRows []int32
+	fwdPtr, bwdPtr   []int32
+
+	// scatter[k] is the factor slot receiving A's stored block k; fill
+	// lists the slots no block of A reaches (zeroed before each
+	// numeric pass).
+	scatter []int32
+	fill    []int32
+}
+
+// Factorization holds the combined L\U factors of a block ILU(k)
+// factorization. L has implicit identity diagonal blocks; U's diagonal
+// blocks are stored inverted for fast triangular solves.
+type Factorization struct {
+	symbolic
 
 	// Exactly one of val64/val32 is non-nil, per the storage precision.
 	val64 []float64
@@ -33,14 +58,13 @@ type Factorization struct {
 	invDiag64 []float64
 	invDiag32 []float32
 
-	// Level-set schedule of the triangular solves (levels.go): block
-	// rows grouped by dependency depth in the L (forward) and U
-	// (backward) DAGs, computed once per factorization from the symbolic
-	// pattern. Level l's rows are fwdRows[fwdPtr[l]:fwdPtr[l+1]]
-	// (ascending within each level); rows of one level depend only on
-	// rows of earlier levels, so a level can run on the worker pool.
-	fwdRows, bwdRows []int32
-	fwdPtr, bwdPtr   []int32
+	// Numeric-phase workspace: marker maps a column of the row being
+	// eliminated to its factor slot (-1 outside the row, restored after
+	// every row); factor, tmp and aug hold one multiplier block, one
+	// product block and one augmented inversion matrix.
+	marker      []int32
+	factor, tmp []float64
+	aug         []float64
 
 	// Solve scratch, hoisted out of the bandwidth-bound sweeps: seqTmp
 	// is the sequential diagonal-multiply temporary for block sizes the
@@ -50,6 +74,10 @@ type Factorization struct {
 	parScratch []float64
 	task       triTask
 }
+
+// ErrSingularPivot reports a numerically singular U diagonal block; the
+// wrapping error names the block row.
+var ErrSingularPivot = errors.New("ilu: singular pivot block")
 
 // Options configures a factorization.
 type Options struct {
@@ -95,41 +123,149 @@ func (f *Factorization) FactorBytes() int64 {
 	return FactorBytesFor(len(f.ColIdx), f.B, f.BytesPerValue())
 }
 
-// Factor computes the block ILU(k) factorization of a.
+// Factor computes the block ILU(k) factorization of a: the symbolic
+// analysis of a's pattern followed by the numeric factorization of its
+// values (see Refactor).
 func Factor(a *sparse.BCSR, opts Options) (*Factorization, error) {
 	if opts.Level < 0 {
 		return nil, fmt.Errorf("ilu: negative fill level %d", opts.Level)
 	}
 	sp := prof.Begin(prof.PhaseILUFactor)
-	f := &Factorization{NB: a.NB, B: a.B, Level: opts.Level}
+	f := &Factorization{symbolic: symbolic{NB: a.NB, B: a.B, Level: opts.Level}}
 	defer func() { sp.End(f.FactorFlops(), f.FactorBytes()) }()
-	if err := f.symbolic(a, opts.Level); err != nil {
+	if err := f.analyze(a); err != nil {
 		return nil, err
 	}
-	f.buildLevels()
-	if err := f.numeric(a); err != nil {
-		return nil, err
-	}
+	bb := a.B * a.B
 	if opts.SinglePrecision {
-		f.val32 = make([]float32, len(f.val64))
-		for i, v := range f.val64 {
-			f.val32[i] = float32(v)
-		}
-		f.invDiag32 = make([]float32, len(f.invDiag64))
-		for i, v := range f.invDiag64 {
-			f.invDiag32[i] = float32(v)
-		}
-		f.val64 = nil
-		f.invDiag64 = nil
+		f.val32 = make([]float32, len(f.ColIdx)*bb)
+		f.invDiag32 = make([]float32, f.NB*bb)
+	} else {
+		f.val64 = make([]float64, len(f.ColIdx)*bb)
+		f.invDiag64 = make([]float64, f.NB*bb)
+	}
+	f.marker = make([]int32, f.NB)
+	for i := range f.marker {
+		f.marker[i] = -1
+	}
+	f.factor = make([]float64, bb)
+	f.tmp = make([]float64, bb)
+	f.aug = make([]float64, 2*bb)
+	if err := f.refactor(a); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-// symbolic computes the ILU(k) fill pattern by the standard level-of-fill
+// Refactor recomputes the factors from new values of the matrix Factor
+// analyzed, reusing the symbolic structure: a must have that matrix's
+// block pattern, and a matrix with another pattern is refused before
+// any value is touched. The result is bitwise identical to a fresh
+// Factor of a. After a numeric error the factors are unusable until a
+// Refactor succeeds; every Refactor starts clean, whatever the previous
+// one left behind. The double-precision path does not allocate.
+func (f *Factorization) Refactor(a *sparse.BCSR) error {
+	if !f.samePattern(a) {
+		return fmt.Errorf("ilu: refactor of a %d-row B=%d matrix with %d blocks whose pattern differs from the factored one (%d rows, B=%d, %d blocks)",
+			a.NB, a.B, len(a.ColIdx), f.NB, f.B, len(f.scatter))
+	}
+	sp := prof.Begin(prof.PhaseILUFactor)
+	defer sp.End(f.FactorFlops(), f.FactorBytes())
+	return f.refactor(a)
+}
+
+// refactor runs the numeric phase in the storage precision: the
+// single-precision path factors in float64 work arrays and rounds them
+// into its float32 storage.
+func (f *Factorization) refactor(a *sparse.BCSR) error {
+	if f.val32 == nil {
+		return f.numeric(a, f.val64, f.invDiag64)
+	}
+	val := make([]float64, len(f.val32))
+	inv := make([]float64, len(f.invDiag32))
+	if err := f.numeric(a, val, inv); err != nil {
+		return err
+	}
+	for i, v := range val {
+		f.val32[i] = float32(v)
+	}
+	for i, v := range inv {
+		f.invDiag32[i] = float32(v)
+	}
+	return nil
+}
+
+// samePattern reports whether a has the block pattern the symbolic
+// structure was analyzed from: every stored block of a must reach,
+// through the scatter, the factor slot of its own row and column. One
+// pass over the indices, without allocation.
+func (s *symbolic) samePattern(a *sparse.BCSR) bool {
+	n := len(s.scatter)
+	if a.NB != s.NB || a.B != s.B || len(a.ColIdx) != n || len(a.Val) != n*s.B*s.B ||
+		len(a.RowPtr) != s.NB+1 || a.RowPtr[0] != 0 || int(a.RowPtr[s.NB]) != n {
+		return false
+	}
+	for i := 0; i < s.NB; i++ {
+		lo, hi := s.RowPtr[i], s.RowPtr[i+1]
+		if a.RowPtr[i+1] < a.RowPtr[i] {
+			return false
+		}
+		for ka := a.RowPtr[i]; ka < a.RowPtr[i+1]; ka++ {
+			k := s.scatter[ka]
+			if k < lo || k >= hi || s.ColIdx[k] != a.ColIdx[ka] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// analyze computes the symbolic structure of a's ILU(k) factorization:
+// the fill pattern, the level-set schedule, and the scatter of a's
+// blocks into the pattern.
+func (s *symbolic) analyze(a *sparse.BCSR) error {
+	if err := s.pattern(a, s.Level); err != nil {
+		return err
+	}
+	s.buildLevels()
+	// Scatter: rows of a (a BCSR invariant) and of the pattern are both
+	// sorted, and a's columns are a subset of the pattern's, so one merge
+	// per row maps every block. A row that breaks the invariant fails
+	// the merge.
+	s.scatter = make([]int32, len(a.ColIdx))
+	hit := make([]bool, len(s.ColIdx))
+	for i := 0; i < s.NB; i++ {
+		k := s.RowPtr[i]
+		for ka := a.RowPtr[i]; ka < a.RowPtr[i+1]; ka++ {
+			j := a.ColIdx[ka]
+			for k < s.RowPtr[i+1] && s.ColIdx[k] < j {
+				k++
+			}
+			if k == s.RowPtr[i+1] || s.ColIdx[k] != j {
+				return fmt.Errorf("ilu: pattern lost entry (%d,%d)", i, j)
+			}
+			s.scatter[ka] = k
+			hit[k] = true
+			k++
+		}
+	}
+	// The scatter is injective, so the rest of the pattern is fill.
+	s.fill = make([]int32, len(s.ColIdx)-len(a.ColIdx))
+	n := 0
+	for k, h := range hit {
+		if !h {
+			s.fill[n] = int32(k)
+			n++
+		}
+	}
+	return nil
+}
+
+// pattern computes the ILU(k) fill pattern by the standard level-of-fill
 // recurrence: lev(i,j) = min over pivots p of lev(i,p)+lev(p,j)+1, kept
 // when ≤ k. Row patterns are computed in ascending row order so that
 // earlier (already-final) rows drive fill in later ones.
-func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
+func (f *symbolic) pattern(a *sparse.BCSR, level int) error {
 	nb := a.NB
 	rowCols := make([][]int32, nb)
 	rowLevs := make([][]int32, nb)
@@ -160,7 +296,7 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 				lower = append(lower, j) //lint:alloc-ok per-factorization symbolic pivot list
 			}
 		}
-		sortInt32(lower)
+		slices.Sort(lower)
 		for li := 0; li < len(lower); li++ {
 			p := lower[li]
 			levIP := lev[p]
@@ -185,7 +321,7 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 				}
 			}
 		}
-		sortInt32(cols)
+		slices.Sort(cols)
 		levs := make([]int32, len(cols)) //lint:alloc-ok per-factorization symbolic row levels
 		for t, j := range cols {
 			levs[t] = lev[j]
@@ -219,14 +355,6 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 	return nil
 }
 
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k] < s[k-1]; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
-}
-
 // insertSorted inserts v into s keeping positions >= from sorted.
 func insertSorted(s []int32, from int, v int32) []int32 {
 	s = append(s, 0)
@@ -239,63 +367,76 @@ func insertSorted(s []int32, from int, v int32) []int32 {
 	return s
 }
 
-// numeric performs the block IKJ elimination on the symbolic pattern.
-func (f *Factorization) numeric(a *sparse.BCSR) error {
+// numeric performs the block IKJ elimination on the symbolic pattern,
+// writing the factors into val and the inverted U diagonal blocks into
+// inv. Fill slots are zeroed and a's blocks scattered in first, so the
+// result depends only on a's values. The positions of row i's columns
+// live in the dense marker while row i is eliminated.
+func (f *Factorization) numeric(a *sparse.BCSR, val, inv []float64) error {
 	b := f.B
 	bb := b * b
-	f.val64 = make([]float64, len(f.ColIdx)*bb)
-	f.invDiag64 = make([]float64, f.NB*bb)
-	// Copy A into the fill pattern.
-	pos := make(map[int64]int32, len(f.ColIdx))
-	key := func(i int, j int32) int64 { return int64(i)<<32 | int64(j) }
-	for i := 0; i < f.NB; i++ {
-		for k := f.RowPtr[i]; k < f.RowPtr[i+1]; k++ {
-			pos[key(i, f.ColIdx[k])] = k
-		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			dst, ok := pos[key(i, a.ColIdx[k])]
-			if !ok {
-				return fmt.Errorf("ilu: pattern lost entry (%d,%d)", i, a.ColIdx[k])
-			}
-			copy(f.val64[int(dst)*bb:(int(dst)+1)*bb], a.Val[int(k)*bb:(int(k)+1)*bb])
-		}
+	for _, k := range f.fill {
+		clear(val[int(k)*bb : int(k)*bb+bb]) //lint:bce-ok fill slots are data-dependent
 	}
-	factor := make([]float64, bb)
-	tmp := make([]float64, bb)
+	for ka, k := range f.scatter {
+		copy(val[int(k)*bb:int(k)*bb+bb], a.Val[ka*bb:ka*bb+bb]) //lint:bce-ok scatter through the symbolic map; the destination offset is data-dependent
+	}
+	marker, factor, tmp := f.marker, f.factor, f.tmp
 	for i := 0; i < f.NB; i++ {
-		row := f.ColIdx[f.RowPtr[i]:f.RowPtr[i+1]]
-		for t, p := range row {
-			if p >= int32(i) {
-				break
-			}
-			kip := int(f.RowPtr[i]) + t
-			// factor = A_ip * invU_pp
-			matMul(f.val64[kip*bb:(kip+1)*bb], f.invDiag64[int(p)*bb:(int(p)+1)*bb], factor, b)
-			copy(f.val64[kip*bb:(kip+1)*bb], factor)
-			// Row update: A_ij -= factor * U_pj for j > p in row p.
-			for kp := f.RowPtr[p]; kp < f.RowPtr[p+1]; kp++ {
-				j := f.ColIdx[kp]
-				if j <= p {
-					continue
-				}
-				dst, ok := pos[key(i, j)]
-				if !ok {
+		lo, hi := f.RowPtr[i], f.RowPtr[i+1]
+		for k := lo; k < hi; k++ {
+			marker[f.ColIdx[k]] = k //lint:bce-ok column-indexed marker; the column is data-dependent
+		}
+		for k := lo; k < f.diagK[i]; k++ {
+			p := int(f.ColIdx[k])
+			// factor = A_ip * invU_pp, stored as L_ip.
+			lip := val[int(k)*bb : int(k)*bb+bb]
+			matMul(lip, inv[p*bb:p*bb+bb], factor, b)
+			copy(lip, factor)
+			// Row update: A_ij -= factor * U_pj for the U blocks of row
+			// p (columns j > p), where (i, j) survived the level rule.
+			for kp := f.diagK[p] + 1; kp < f.RowPtr[p+1]; kp++ {
+				dst := int(marker[f.ColIdx[kp]])
+				if dst < 0 {
 					continue // fill dropped by the level rule
 				}
-				matMul(factor, f.val64[int(kp)*bb:(int(kp)+1)*bb], tmp, b)
-				blk := f.val64[int(dst)*bb : (int(dst)+1)*bb]
-				for z := 0; z < bb; z++ {
-					blk[z] -= tmp[z]
+				blk := val[dst*bb : dst*bb+bb]
+				u := val[int(kp)*bb : int(kp)*bb+bb]
+				switch b {
+				case 4:
+					mulSub4(blk, factor, u)
+				default:
+					matMul(factor, u, tmp, b)
+					blk = blk[:len(tmp)]
+					for z, t := range tmp {
+						blk[z] -= t
+					}
 				}
 			}
 		}
-		// Invert the diagonal block.
+		for k := lo; k < hi; k++ {
+			marker[f.ColIdx[k]] = -1 //lint:bce-ok column-indexed marker; the column is data-dependent
+		}
 		kd := int(f.diagK[i])
-		if err := invertBlock(f.val64[kd*bb:(kd+1)*bb], f.invDiag64[i*bb:(i+1)*bb], b); err != nil {
-			return fmt.Errorf("ilu: singular pivot block at row %d: %w", i, err)
+		if err := invertBlock(val[kd*bb:kd*bb+bb], inv[i*bb:i*bb+bb], f.aug, b); err != nil {
+			return fmt.Errorf("%w at row %d: %w", ErrSingularPivot, i, err) //lint:escape-ok error exit: boxes the row once, when the factorization fails
 		}
 	}
 	return nil
+}
+
+// mulSub4 computes c -= a*u for row-major 4×4 blocks without a product
+// temporary. Each product entry is summed from zero in matMul's k
+// order, so the result is bitwise identical to matMul then subtract.
+func mulSub4(c, a, u []float64) {
+	cc, aa, uu := (*[16]float64)(c), (*[16]float64)(a), (*[16]float64)(u)
+	for i := 0; i < 16; i += 4 {
+		a0, a1, a2, a3 := aa[i], aa[i+1], aa[i+2], aa[i+3]
+		cc[i] -= 0 + a0*uu[0] + a1*uu[4] + a2*uu[8] + a3*uu[12]
+		cc[i+1] -= 0 + a0*uu[1] + a1*uu[5] + a2*uu[9] + a3*uu[13]
+		cc[i+2] -= 0 + a0*uu[2] + a1*uu[6] + a2*uu[10] + a3*uu[14]
+		cc[i+3] -= 0 + a0*uu[3] + a1*uu[7] + a2*uu[11] + a3*uu[15]
+	}
 }
 
 // matMul computes c = a*b for row-major b×b blocks.
@@ -312,15 +453,9 @@ func matMul(a, b, c []float64, n int) {
 }
 
 // invertBlock inverts the row-major n×n block src into dst using
-// Gauss-Jordan with partial pivoting.
-func invertBlock(src, dst []float64, n int) error {
-	var work [2 * 5 * 5]float64 // augmented [A | I], n <= 5 typical; fall back below
-	var aug []float64
-	if 2*n*n <= len(work) {
-		aug = work[:2*n*n]
-	} else {
-		aug = make([]float64, 2*n*n)
-	}
+// Gauss-Jordan with partial pivoting; aug (length 2n²) holds the
+// augmented matrix [A | I].
+func invertBlock(src, dst, aug []float64, n int) error {
 	w := 2 * n
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

@@ -24,7 +24,7 @@ func wingBlockMatrix(t testing.TB, nx, ny, nz, b int, seed uint64) *sparse.BCSR 
 func TestInvertBlock(t *testing.T) {
 	src := []float64{4, 1, 0, 2, 5, 1, 0, 3, 6}
 	dst := make([]float64, 9)
-	if err := invertBlock(src, dst, 3); err != nil {
+	if err := invertBlock(src, dst, make([]float64, 18), 3); err != nil {
 		t.Fatal(err)
 	}
 	// src * dst == I.
@@ -42,7 +42,7 @@ func TestInvertBlock(t *testing.T) {
 		}
 	}
 	singular := []float64{1, 2, 2, 4}
-	if err := invertBlock(singular, make([]float64, 4), 2); err == nil {
+	if err := invertBlock(singular, make([]float64, 4), make([]float64, 8), 2); err == nil {
 		t.Error("singular block inverted")
 	}
 }
@@ -51,7 +51,7 @@ func TestInvertBlockNeedsPivoting(t *testing.T) {
 	// Zero in the (0,0) position requires a row swap.
 	src := []float64{0, 1, 1, 0}
 	dst := make([]float64, 4)
-	if err := invertBlock(src, dst, 2); err != nil {
+	if err := invertBlock(src, dst, make([]float64, 8), 2); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0] != 0 || dst[1] != 1 || dst[2] != 1 || dst[3] != 0 {

@@ -18,9 +18,8 @@ import (
 // symbolic pattern, computed once per factorization.
 
 // buildLevels computes the forward and backward level-set schedules
-// from the symbolic pattern (called before the numeric phase; levels
-// depend only on the structure).
-func (f *Factorization) buildLevels() {
+// from the symbolic pattern (levels depend only on the structure).
+func (f *symbolic) buildLevels() {
 	nb := f.NB
 	lev := make([]int32, nb)
 	// Forward: ascending rows, L dependencies are k < diagK[i].

@@ -7,7 +7,9 @@
 package schwarz
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/par"
@@ -39,19 +41,29 @@ type Subdomain struct {
 	Local    *sparse.BCSR
 	Factor   *ilu.Factorization
 
-	globalToLocal map[int32]int32
-	rhs           []float64
-	sol           []float64
+	ownedLocal []int32 // local row of each Owned row (the prolongation)
+	src        []int32 // src[k]: the global block refilling Local's block k
+	rhs        []float64
+	sol        []float64
 }
 
 // Preconditioner is a block Jacobi / RASM preconditioner over a
-// partitioned global block matrix.
+// partitioned global block matrix. It remembers the block pattern it was
+// built on, so Refresh can refill it in place from new values; like
+// the factorizations inside it, it serves one solve at a time.
 type Preconditioner struct {
 	NB   int
 	B    int
 	Opts Options
 	Subs []*Subdomain
+
+	rowPtr, colIdx []int32 // the global block pattern
 }
+
+// ErrPatternChanged reports a Refresh with a matrix whose block pattern
+// differs from the one the preconditioner was built on; New must build
+// a fresh preconditioner for it.
+var ErrPatternChanged = errors.New("schwarz: block pattern changed")
 
 // New builds the preconditioner for global matrix a partitioned by part
 // (length a.NB, values in [0, nparts)).
@@ -63,8 +75,12 @@ func New(a *sparse.BCSR, part []int32, nparts int, opts Options) (*Preconditione
 		return nil, fmt.Errorf("schwarz: negative overlap %d", opts.Overlap)
 	}
 	sp := prof.Begin(prof.PhasePCSetup)
-	defer sp.End(0, 0) // extraction only; the factorizations report their own work
-	p := &Preconditioner{NB: a.NB, B: a.B, Opts: opts, Subs: make([]*Subdomain, nparts)}
+	p := &Preconditioner{
+		NB: a.NB, B: a.B, Opts: opts, Subs: make([]*Subdomain, nparts),
+		rowPtr: slices.Clone(a.RowPtr), colIdx: slices.Clone(a.ColIdx),
+	}
+	// Extraction copy traffic; the factorizations report their own work.
+	defer func() { sp.End(0, p.refillBytes()) }()
 	owned := make([][]int32, nparts)
 	for i, q := range part {
 		if q < 0 || int(q) >= nparts {
@@ -72,8 +88,14 @@ func New(a *sparse.BCSR, part []int32, nparts int, opts Options) (*Preconditione
 		}
 		owned[q] = append(owned[q], int32(i)) //lint:alloc-ok one-time partition of rows at preconditioner setup
 	}
+	// local is the dense global→local row index of the subdomain being
+	// built (-1 outside it), restored after each subdomain.
+	local := make([]int32, a.NB)
+	for i := range local {
+		local[i] = -1
+	}
 	for q := 0; q < nparts; q++ {
-		sub, err := buildSubdomain(a, owned[q], opts)
+		sub, err := buildSubdomain(a, owned[q], opts, local)
 		if err != nil {
 			return nil, fmt.Errorf("schwarz: subdomain %d: %w", q, err)
 		}
@@ -82,79 +104,125 @@ func New(a *sparse.BCSR, part []int32, nparts int, opts Options) (*Preconditione
 	return p, nil
 }
 
-func buildSubdomain(a *sparse.BCSR, owned []int32, opts Options) (*Subdomain, error) {
+// buildSubdomain extracts and factors one part's local matrix in time
+// linear in the subdomain's blocks (plus the sort of its rows). local
+// must be all -1 on entry and is all -1 again on return.
+func buildSubdomain(a *sparse.BCSR, owned []int32, opts Options, local []int32) (*Subdomain, error) {
 	if len(owned) == 0 {
 		return nil, fmt.Errorf("empty subdomain")
 	}
 	s := &Subdomain{Owned: owned}
-	// Expand by BFS layers over the block sparsity graph.
-	in := make(map[int32]bool, len(owned)*2)
+	// Expand by BFS layers over the block sparsity graph, marking
+	// members in local (any value ≥ 0 until the rows are numbered).
+	ext := append([]int32(nil), owned...)
 	for _, r := range owned {
-		in[r] = true
+		local[r] = 0
 	}
-	frontier := append([]int32(nil), owned...)
-	for layer := 0; layer < opts.Overlap; layer++ {
-		var next []int32
-		for _, r := range frontier {
+	for layer, lo := 0, 0; layer < opts.Overlap; layer++ {
+		hi := len(ext)
+		for _, r := range ext[lo:hi] {
 			for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
-				if !in[j] {
-					in[j] = true
-					next = append(next, j) //lint:alloc-ok one-time BFS overlap expansion at subdomain setup
+				if local[j] < 0 {
+					local[j] = 0
+					ext = append(ext, j) //lint:alloc-ok one-time BFS overlap expansion at subdomain setup
 				}
 			}
 		}
-		frontier = next
+		lo = hi
 	}
-	s.Extended = make([]int32, 0, len(in))
-	for r := range in {
-		s.Extended = append(s.Extended, r) //lint:alloc-ok appends into exact preallocated capacity at setup
+	slices.Sort(ext)
+	s.Extended = ext
+	for li, r := range ext {
+		local[r] = int32(li)
 	}
-	sortInt32(s.Extended)
-	s.globalToLocal = make(map[int32]int32, len(s.Extended))
-	for li, r := range s.Extended {
-		s.globalToLocal[r] = int32(li)
-	}
-	// Extract the local matrix: rows/cols restricted to Extended.
-	rows := make([][]int32, len(s.Extended))
-	for li, r := range s.Extended {
-		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
-			if lj, ok := s.globalToLocal[j]; ok {
-				rows[li] = append(rows[li], lj) //lint:alloc-ok one-time local-matrix extraction at subdomain setup
-			}
+	defer func() {
+		for _, r := range ext {
+			local[r] = -1
 		}
+	}()
+	s.ownedLocal = make([]int32, len(owned))
+	for t, r := range owned {
+		s.ownedLocal[t] = local[r]
 	}
-	s.Local = sparse.NewBCSRPattern(len(s.Extended), a.B, rows)
-	bb := a.B * a.B
-	for li, r := range s.Extended {
+	// Extract the local pattern: rows and columns restricted to
+	// Extended, within the bound of the rows' full length. Local
+	// numbering is monotone in the global one, so each extracted row
+	// comes out sorted.
+	bound := 0
+	for _, r := range ext {
+		bound += int(a.RowPtr[r+1] - a.RowPtr[r])
+	}
+	cols, src := make([]int32, bound), make([]int32, bound)
+	loc := &sparse.BCSR{NB: len(ext), B: a.B, RowPtr: make([]int32, len(ext)+1)}
+	n := 0
+	for li, r := range ext {
 		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			j := a.ColIdx[k]
-			lj, ok := s.globalToLocal[j]
-			if !ok {
-				continue
+			if lj := local[a.ColIdx[k]]; lj >= 0 {
+				cols[n], src[n] = lj, k
+				n++
 			}
-			dst, ok := s.Local.BlockAt(li, int(lj))
-			if !ok {
-				return nil, fmt.Errorf("extraction lost block (%d,%d)", li, lj)
-			}
-			copy(dst, a.Val[int(k)*bb:(int(k)+1)*bb])
 		}
+		loc.RowPtr[li+1] = int32(n)
 	}
+	loc.ColIdx, s.src = cols[:n], src[:n]
+	loc.Val = make([]float64, n*a.B*a.B)
+	s.Local = loc
+	s.refill(a)
 	var err error
 	s.Factor, err = ilu.Factor(s.Local, opts.ILU)
 	if err != nil {
 		return nil, err
 	}
-	s.rhs = make([]float64, len(s.Extended)*a.B)
-	s.sol = make([]float64, len(s.Extended)*a.B)
+	s.rhs = make([]float64, len(ext)*a.B)
+	s.sol = make([]float64, len(ext)*a.B)
 	return s, nil
 }
 
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k] < s[k-1]; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
+// refill copies the subdomain's blocks of a into Local.
+func (s *Subdomain) refill(a *sparse.BCSR) {
+	bb := s.Local.B * s.Local.B
+	for k, g := range s.src {
+		copy(s.Local.Val[k*bb:k*bb+bb], a.Val[int(g)*bb:int(g)*bb+bb])
+	}
+}
+
+// refillBytes is the copy traffic of filling the local matrices from
+// the global one (New's extraction or Refresh): each local block read
+// and written once, plus its 4-byte source index.
+func (p *Preconditioner) refillBytes() int64 {
+	var n int64
+	for _, s := range p.Subs {
+		if s != nil {
+			n += int64(len(s.src))
 		}
 	}
+	return n * int64(16*p.B*p.B+4)
+}
+
+// samePattern reports whether a has the block pattern p was built on.
+func (p *Preconditioner) samePattern(a *sparse.BCSR) bool {
+	return a.NB == p.NB && a.B == p.B && slices.Equal(a.RowPtr, p.rowPtr) && slices.Equal(a.ColIdx, p.colIdx)
+}
+
+// Refresh refills p in place from new values of its block pattern:
+// every subdomain's local matrix is recopied from a and refactored on
+// its existing symbolic structure. The result is bitwise identical to
+// New(a, ...) with p's partition and options. A matrix with a
+// different pattern returns ErrPatternChanged and leaves p untouched;
+// after any other error p is unusable until a Refresh succeeds.
+func (p *Preconditioner) Refresh(a *sparse.BCSR) error {
+	if !p.samePattern(a) {
+		return ErrPatternChanged
+	}
+	sp := prof.Begin(prof.PhasePCSetup)
+	defer sp.End(0, p.refillBytes()) // refill copies; the factorizations report their own work
+	for q, s := range p.Subs {
+		s.refill(a) //lint:bce-ok the inlined refill gathers through the extraction map; the source offset is data-dependent
+		if err := s.Factor.Refactor(s.Local); err != nil {
+			return fmt.Errorf("schwarz: subdomain %d: %w", q, err) //lint:escape-ok error exit: boxes the subdomain index once, when the refresh fails
+		}
+	}
+	return nil
 }
 
 // applyCopyBytes is the restrict/prolong copy traffic of one
@@ -188,8 +256,9 @@ func (p *Preconditioner) ApplySubdomain(s *Subdomain, r, z []float64) {
 		copy(s.rhs[li*b:li*b+b], r[int(gr)*b:int(gr)*b+b]) //lint:bce-ok restrict gathers through the subdomain row list; both offsets are data-dependent
 	}
 	s.Factor.SolvePar(p.Opts.Pool, s.rhs, s.sol)
-	for _, gr := range s.Owned {
-		li := s.globalToLocal[gr]
+	ownedLocal := s.ownedLocal[:len(s.Owned)] // bce: ties the index map to the owned list
+	for t, gr := range s.Owned {
+		li := ownedLocal[t]
 		copy(z[int(gr)*b:int(gr)*b+b], s.sol[int(li)*b:int(li)*b+b]) //lint:bce-ok prolong scatters through the owned row list and local index map; both offsets are data-dependent
 	}
 }
