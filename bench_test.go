@@ -18,6 +18,7 @@ import (
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/mpi"
+	"petscfun3d/internal/par"
 	"petscfun3d/internal/partition"
 	"petscfun3d/internal/prof"
 	"petscfun3d/internal/sparse"
@@ -259,28 +260,32 @@ func BenchmarkSpMVNonInterlacedScalar(b *testing.B) {
 
 // Table 2 mechanism: triangular solve with double vs single factors.
 func BenchmarkTriangularSolveDouble(b *testing.B) {
-	a, _ := benchMatrix(b, 4)
-	f, err := ilu.Factor(a, ilu.Options{Level: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, a.N())
-	y := make([]float64, a.N())
-	for i := range x {
-		x[i] = 1
-	}
-	b.SetBytes(f.SolveBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Solve(x, y)
-	}
+	benchTriangularSolve(b, ilu.Options{Level: 1}, 1)
 }
 
 func BenchmarkTriangularSolveSingle(b *testing.B) {
+	benchTriangularSolve(b, ilu.Options{Level: 1, SinglePrecision: true}, 1)
+}
+
+// BenchmarkTriangularSolveDoublePar is the double-precision solve on the
+// level-scheduled path with two pool workers: the same row kernels as
+// the sequential solve, shard by shard.
+func BenchmarkTriangularSolveDoublePar(b *testing.B) {
+	benchTriangularSolve(b, ilu.Options{Level: 1}, 2)
+}
+
+// benchTriangularSolve times one ILU solve of the B=4 bench matrix,
+// sequential when workers is 1 and level-scheduled on a pool otherwise.
+func benchTriangularSolve(b *testing.B, opts ilu.Options, workers int) {
 	a, _ := benchMatrix(b, 4)
-	f, err := ilu.Factor(a, ilu.Options{Level: 1, SinglePrecision: true})
+	f, err := ilu.Factor(a, opts)
 	if err != nil {
 		b.Fatal(err)
+	}
+	var p *par.Pool
+	if workers > 1 {
+		p = par.New(workers)
+		defer p.Close()
 	}
 	x := make([]float64, a.N())
 	y := make([]float64, a.N())
@@ -290,7 +295,7 @@ func BenchmarkTriangularSolveSingle(b *testing.B) {
 	b.SetBytes(f.SolveBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Solve(x, y)
+		f.SolvePar(p, x, y)
 	}
 }
 

@@ -36,6 +36,9 @@ type symbolic struct {
 	// so a level can run on the worker pool.
 	fwdRows, bwdRows []int32
 	fwdPtr, bwdPtr   []int32
+	// seqRows and revRows list the rows ascending and descending: the
+	// natural orders Solve's forward and backward sweeps run in.
+	seqRows, revRows []int32
 
 	// scatter[k] is the factor slot receiving A's stored block k; fill
 	// lists the slots no block of A reaches (zeroed before each
@@ -66,13 +69,11 @@ type Factorization struct {
 	factor, tmp []float64
 	aug         []float64
 
-	// Solve scratch, hoisted out of the bandwidth-bound sweeps: seqTmp
-	// is the sequential diagonal-multiply temporary for block sizes the
-	// stack array cannot hold (B > 5); parScratch holds one such
-	// temporary per pool worker.
-	seqTmp     []float64
-	parScratch []float64
-	task       triTask
+	// Solve scratch, hoisted out of the bandwidth-bound sweeps: one
+	// B-long diagonal-multiply temporary per pool worker (Solve uses the
+	// first); Factor sizes it for one.
+	scratch []float64
+	task    triTask
 }
 
 // ErrSingularPivot reports a numerically singular U diagonal block; the
@@ -151,6 +152,7 @@ func Factor(a *sparse.BCSR, opts Options) (*Factorization, error) {
 	f.factor = make([]float64, bb)
 	f.tmp = make([]float64, bb)
 	f.aug = make([]float64, 2*bb)
+	f.scratch = make([]float64, a.B)
 	if err := f.refactor(a); err != nil {
 		return nil, err
 	}

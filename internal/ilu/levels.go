@@ -11,16 +11,22 @@ import (
 // stored U block. Grouping rows by their depth in that dependency DAG —
 // level(i) = 1 + max over dependencies of level(j) — yields a schedule
 // where all rows of one level are independent: a level can be
-// partitioned across pool workers while each row's own accumulation
-// (ascending k over its stored blocks) stays exactly the sequential
-// order. The parallel solve is therefore bitwise identical to Solve at
-// every worker count. The level sets are a pure function of the
-// symbolic pattern, computed once per factorization.
+// partitioned across pool workers while each row runs the same row body
+// Solve runs (solve.go). The parallel solve is therefore bitwise
+// identical to Solve at every worker count. The level sets are a pure
+// function of the symbolic pattern, computed once per factorization.
 
 // buildLevels computes the forward and backward level-set schedules
-// from the symbolic pattern (levels depend only on the structure).
+// from the symbolic pattern (levels depend only on the structure), and
+// the natural row orders Solve sweeps.
 func (f *symbolic) buildLevels() {
 	nb := f.NB
+	f.seqRows = make([]int32, nb)
+	f.revRows = make([]int32, nb)
+	for i := range nb {
+		f.seqRows[i] = int32(i)
+		f.revRows[nb-1-i] = int32(i)
+	}
 	lev := make([]int32, nb)
 	// Forward: ascending rows, L dependencies are k < diagK[i].
 	depth := 0
@@ -137,8 +143,8 @@ func (f *Factorization) SolvePar(p *par.Pool, b, x []float64) {
 	}
 	sp := prof.Begin(prof.PhaseTriSolve)
 	prof.NoteThreads(prof.PhaseTriSolve, nw)
-	if len(f.parScratch) < nw*f.B {
-		f.parScratch = make([]float64, nw*f.B)
+	if len(f.scratch) < nw*f.B {
+		f.scratch = make([]float64, nw*f.B)
 	}
 	t := &f.task
 	t.f, t.b, t.x = f, b, x
@@ -183,138 +189,8 @@ func (t *triTask) RunShard(w, nw int) {
 	}
 	f := t.f
 	if t.backward {
-		tmp := f.parScratch[w*f.B : w*f.B+f.B]
-		if f.val32 != nil {
-			f.backwardRows32(rows, t.x, tmp)
-		} else {
-			f.backwardRows(rows, t.x, tmp)
-		}
+		f.backward(rows, t.x, f.scratch[w*f.B:w*f.B+f.B])
 		return
 	}
-	if f.val32 != nil {
-		f.forwardRows32(rows, t.b, t.x)
-	} else {
-		f.forwardRows(rows, t.b, t.x)
-	}
-}
-
-// forwardRows runs the forward substitution's body for the listed rows:
-// y_i = b_i - Σ_{j<i} L_ij y_j, stored into x. Identical arithmetic and
-// accumulation order to the corresponding rows of Solve.
-func (f *Factorization) forwardRows(rows []int32, b, x []float64) {
-	n := f.B
-	bb := n * n
-	for _, i := range rows {
-		xi := x[int(i)*n : int(i)*n+n]
-		copy(xi, b[int(i)*n:int(i)*n+n])
-		for k := int(f.RowPtr[i]); k < int(f.diagK[i]); k++ {
-			j := int(f.ColIdx[k]) * n
-			blk := f.val64[k*bb : k*bb+bb]
-			xs := x[j : j+n]
-			for r := 0; r < n; r++ {
-				row := blk[r*n:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
-				var s float64
-				for c, w := range row {
-					s += w * xs[c]
-				}
-				xi[r] -= s
-			}
-		}
-	}
-}
-
-// backwardRows runs the backward substitution's body for the listed
-// rows: x_i = invU_ii (y_i - Σ_{j>i} U_ij x_j), with the caller-owned
-// tmp holding the diagonal multiply.
-func (f *Factorization) backwardRows(rows []int32, x, tmp []float64) {
-	n := f.B
-	bb := n * n
-	for _, i := range rows {
-		xi := x[int(i)*n : int(i)*n+n]
-		for k := int(f.diagK[i]) + 1; k < int(f.RowPtr[i+1]); k++ {
-			j := int(f.ColIdx[k]) * n
-			blk := f.val64[k*bb : k*bb+bb]
-			xs := x[j : j+n]
-			for r := 0; r < n; r++ {
-				row := blk[r*n:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
-				var s float64
-				for c, w := range row {
-					s += w * xs[c]
-				}
-				xi[r] -= s
-			}
-		}
-		inv := f.invDiag64[int(i)*bb : int(i)*bb+bb]
-		for r := 0; r < n; r++ {
-			row := inv[r*n:]
-			row = row[:len(xi)] // bce: ties len(row) to len(xi); the c index needs one range check, not two
-			var s float64
-			for c, w := range row {
-				s += w * xi[c]
-			}
-			tmp[r] = s
-		}
-		copy(xi, tmp)
-	}
-}
-
-// forwardRows32 is forwardRows for single-precision factor storage;
-// arithmetic stays in float64.
-func (f *Factorization) forwardRows32(rows []int32, b, x []float64) {
-	n := f.B
-	bb := n * n
-	for _, i := range rows {
-		xi := x[int(i)*n : int(i)*n+n]
-		copy(xi, b[int(i)*n:int(i)*n+n])
-		for k := int(f.RowPtr[i]); k < int(f.diagK[i]); k++ {
-			j := int(f.ColIdx[k]) * n
-			blk := f.val32[k*bb : k*bb+bb]
-			xs := x[j : j+n]
-			for r := 0; r < n; r++ {
-				row := blk[r*n:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
-				var s float64
-				for c, w := range row {
-					s += float64(w) * xs[c]
-				}
-				xi[r] -= s
-			}
-		}
-	}
-}
-
-// backwardRows32 is backwardRows for single-precision factor storage.
-func (f *Factorization) backwardRows32(rows []int32, x, tmp []float64) {
-	n := f.B
-	bb := n * n
-	for _, i := range rows {
-		xi := x[int(i)*n : int(i)*n+n]
-		for k := int(f.diagK[i]) + 1; k < int(f.RowPtr[i+1]); k++ {
-			j := int(f.ColIdx[k]) * n
-			blk := f.val32[k*bb : k*bb+bb]
-			xs := x[j : j+n]
-			for r := 0; r < n; r++ {
-				row := blk[r*n:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
-				var s float64
-				for c, w := range row {
-					s += float64(w) * xs[c]
-				}
-				xi[r] -= s
-			}
-		}
-		inv := f.invDiag32[int(i)*bb : int(i)*bb+bb]
-		for r := 0; r < n; r++ {
-			row := inv[r*n:]
-			row = row[:len(xi)] // bce: ties len(row) to len(xi); the c index needs one range check, not two
-			var s float64
-			for c, w := range row {
-				s += float64(w) * xi[c]
-			}
-			tmp[r] = s
-		}
-		copy(xi, tmp)
-	}
+	f.forward(rows, t.b, t.x)
 }

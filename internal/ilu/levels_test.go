@@ -1,6 +1,8 @@
 package ilu
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"petscfun3d/internal/par"
@@ -60,33 +62,46 @@ func TestLevelSetsAreAValidSchedule(t *testing.T) {
 	}
 }
 
-// TestSolveParBitwiseIdentical: the level-scheduled solve matches the
-// sequential solve bit for bit at every worker count, for both storage
-// precisions and several fill levels, across repeated runs.
+// TestSolveParBitwiseIdentical pins both solve paths, the sequential
+// Solve and SolvePar's level shards at every worker count, bit for bit
+// to genericSolve across block sizes (the fused B=4 kernel and the
+// generic loop on either side of it), fill levels, storage precisions
+// and repeated runs. Reordering a fused sum's terms changes its rounding
+// on the mixed right-hand side. A right-hand side of scattered +0 and -0
+// keeps the solve in signed zeros, where a diagonal multiply that drops
+// its zero seed flips the sign of a result. (An off-diagonal update's
+// seed cannot show in x: every row ends in a seeded diagonal multiply,
+// which turns any all-zero input into +0; TestSub4MatchesGenericRow
+// pins it.)
 func TestSolveParBitwiseIdentical(t *testing.T) {
-	for _, single := range []bool{false, true} {
-		for _, level := range []int{0, 1} {
-			f := levelFixture(t, 4, level, single)
-			n := f.NB * f.B
-			b := make([]float64, n)
-			for i := range b {
-				b[i] = float64(i%13) - 6.0
-			}
-			want := make([]float64, n)
-			f.Solve(b, want)
-			for _, nw := range []int{1, 2, 4, 8} {
-				p := par.New(nw)
-				got := make([]float64, n)
-				for rep := 0; rep < 3; rep++ {
-					f.SolvePar(p, b, got)
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("single=%v level=%d nw=%d rep=%d: x[%d]=%x, want %x",
-								single, level, nw, rep, i, got[i], want[i])
+	for _, b := range []int{1, 3, 4, 5, 6} {
+		for level := 0; level <= 2; level++ {
+			for _, single := range []bool{false, true} {
+				f := levelFixture(t, b, level, single)
+				n := f.NB * f.B
+				rhs := map[string][]float64{"mixed": make([]float64, n), "zeros": make([]float64, n)}
+				for i := 0; i < n; i++ {
+					rhs["mixed"][i] = float64(i%13) - 6.0
+					sign := float64(uint32(i)*2654435761>>16&1) - 0.5
+					rhs["zeros"][i] = math.Copysign(0, sign)
+				}
+				for name, r := range rhs {
+					tag := fmt.Sprintf("b=%d level=%d single=%v rhs=%s", b, level, single, name)
+					want := make([]float64, n)
+					genericSolve(f, r, want)
+					got := make([]float64, n)
+					f.Solve(r, got)
+					sameBits(t, tag+" Solve", got, want)
+					for _, nw := range []int{1, 2, 4, 8} {
+						p := par.New(nw)
+						for rep := 0; rep < 3; rep++ {
+							clear(got)
+							f.SolvePar(p, r, got)
+							sameBits(t, fmt.Sprintf("%s nw=%d rep=%d", tag, nw, rep), got, want)
 						}
+						p.Close()
 					}
 				}
-				p.Close()
 			}
 		}
 	}

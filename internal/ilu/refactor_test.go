@@ -167,12 +167,11 @@ func TestRefactorDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestMulSubMatchesMatMul: the fused block update is bitwise the
-// matMul product subtracted entry by entry, signed zeros included.
-func TestMulSubMatchesMatMul(t *testing.T) {
-	const n = 4
-	s := uint64(1)
-	next := func() float64 {
+// signedZeroValues returns a deterministic stream of values in [0, 2)
+// with a quarter of them +0 or -0, for bitwise kernel checks.
+func signedZeroValues(seed uint64) func() float64 {
+	s := seed
+	return func() float64 {
 		s = s*6364136223846793005 + 1442695040888963407
 		switch s >> 61 {
 		case 0:
@@ -182,6 +181,13 @@ func TestMulSubMatchesMatMul(t *testing.T) {
 		}
 		return float64(int64(s>>11)) / (1 << 52)
 	}
+}
+
+// TestMulSubMatchesMatMul: the fused block update is bitwise the
+// matMul product subtracted entry by entry, signed zeros included.
+func TestMulSubMatchesMatMul(t *testing.T) {
+	const n = 4
+	next := signedZeroValues(1)
 	for trial := 0; trial < 200; trial++ {
 		a, u, c := make([]float64, n*n), make([]float64, n*n), make([]float64, n*n)
 		for i := range a {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 )
@@ -169,24 +170,17 @@ var costChecks = []coefCheck{
 		loops: []loopTerm{{5, 1}}, calls: []callTerm{{"MAxpy", 0, 3}},
 		formula: "orthoBytes", countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
 
-	// ilu: two flops per stored factor scalar. The forward c-loop
-	// (loop 0) runs B*B iterations of 2 flops per stored block — the
-	// forward and backward sweeps partition the blocks and run the same
-	// per-block arithmetic, so loop 0 carries the ColIdx marginal. The
-	// diagonal-inverse c-loop (loop 2) carries the per-row marginal.
-	{pkg: "petscfun3d/internal/ilu", kernel: "Factorization.Solve", totalLoops: 3,
-		loops: []loopTerm{{0, 16}}, formula: "Factorization.SolveFlops",
+	// ilu triangular-solve row bodies, shared by Solve and SolvePar's
+	// level shards: two flops per stored factor scalar. The forward and
+	// backward sweeps partition the blocks and run the same per-block
+	// arithmetic, so forwardRows' generic c-loop (B*B iterations of 2
+	// flops per stored block) carries the ColIdx marginal, and
+	// backwardRows' second innermost loop (the diagonal-inverse c-loop)
+	// the NB marginal. The fused B=4 kernel sub4 does one stored block
+	// per iteration: 32 flops once the zero seeds are set aside.
+	{pkg: "petscfun3d/internal/ilu", kernel: "sub4", totalLoops: 1,
+		loops: []loopTerm{{0, 1}}, formula: "Factorization.SolveFlops",
 		countVar: "ColIdx", env: map[string]int64{"B": 4, "NB": 50}},
-	{pkg: "petscfun3d/internal/ilu", kernel: "Factorization.Solve", totalLoops: 3,
-		loops: []loopTerm{{2, 16}}, formula: "Factorization.SolveFlops",
-		countVar: "NB", env: map[string]int64{"B": 4, "ColIdx": 500}},
-
-	// ilu level-scheduled solve kernels: the same per-block arithmetic
-	// as the sequential Solve, partitioned into the forward and backward
-	// level sweeps. forwardRows' innermost c-loop carries the ColIdx
-	// marginal (2*B*B flops per stored block); backwardRows' second
-	// innermost loop (the diagonal-inverse c-loop) carries the NB
-	// marginal.
 	{pkg: "petscfun3d/internal/ilu", kernel: "Factorization.forwardRows", totalLoops: 1,
 		loops: []loopTerm{{0, 16}}, formula: "Factorization.SolveFlops",
 		countVar: "ColIdx", env: map[string]int64{"B": 4, "NB": 50}},
@@ -303,6 +297,9 @@ var costChecks = []coefCheck{
 		loops: []loopTerm{{0, 1}}, formula: "dotFlops",
 		countVar: "n", env: map[string]int64{}},
 	{pkg: "fixture/costsync", kernel: "Axpy", totalLoops: 1,
+		loops: []loopTerm{{0, 1}}, formula: "axpyFlops",
+		countVar: "n", env: map[string]int64{}},
+	{pkg: "fixture/costsync", kernel: "SeededAxpy", totalLoops: 1,
 		loops: []loopTerm{{0, 1}}, formula: "axpyFlops",
 		countVar: "n", env: map[string]int64{}},
 }
@@ -506,14 +503,14 @@ func containsLoop(body *ast.BlockStmt) bool {
 
 // loopWork counts one iteration of the loop body symbolically: in flops
 // mode, floating-point binary multiply/divide/add/subtract operations
-// plus compound assignments; in bytes mode, 8 bytes per floating-point
-// index load or store.
+// plus compound assignments, less zero seeds; in bytes mode, 8 bytes per
+// floating-point index load or store.
 func loopWork(info *types.Info, loop ast.Node, bytes bool) int64 {
 	var work int64
 	shallowInspect(loopBody(loop), func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
-			if !bytes && isFloatOp(info, n.Op) && exprIsFloat(info, n.X) {
+			if !bytes && isFloatOp(info, n.Op) && exprIsFloat(info, n.X) && !isZeroSeed(info, n) {
 				work++
 			}
 		case *ast.AssignStmt:
@@ -535,6 +532,15 @@ func loopWork(info *types.Info, loop ast.Node, bytes bool) int64 {
 		return true
 	})
 	return work
+}
+
+// isZeroSeed reports `0 + e`: the seed an unrolled sum starts from so it
+// rounds like its loop form, which accumulates from zero (DESIGN.md,
+// "Fused kernels sum from zero in the generic order"). It changes at
+// most the sign of a zero, so it is not modeled work.
+func isZeroSeed(info *types.Info, n *ast.BinaryExpr) bool {
+	tv, ok := info.Types[n.X]
+	return n.Op == token.ADD && ok && tv.Value != nil && constant.Sign(tv.Value) == 0
 }
 
 func isFloatOp(info *types.Info, op token.Token) bool {

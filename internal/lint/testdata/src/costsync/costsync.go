@@ -1,7 +1,8 @@
 // Package costsync exercises the costsync analyzer: the registry in
 // internal/lint/costsync.go pins Dot to dotFlops (which deliberately
-// overcharges — a finding), Axpy to axpyFlops (correct — silent), and
-// fullFlops to subsetFlops (deliberately unequal — a finding).
+// overcharges — a finding), Axpy and the zero-seeded SeededAxpy to
+// axpyFlops (correct — silent), and fullFlops to subsetFlops
+// (deliberately unequal — a finding).
 package costsync
 
 // Dot does 2 flops per element; dotFlops below claims 3.
@@ -24,6 +25,14 @@ func Axpy(a float64, x, y []float64) {
 }
 
 func axpyFlops(n int) int64 { return 2 * int64(n) }
+
+// SeededAxpy starts each update from a zero seed, as the fused kernels
+// do; the seed is not work, so axpyFlops agrees.
+func SeededAxpy(a float64, x, y []float64) {
+	for i := range x {
+		y[i] -= 0 + a*x[i]
+	}
+}
 
 // fullFlops and subsetFlops model a full sweep and the subset sweep
 // covering it; they must agree, and deliberately do not.
