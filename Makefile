@@ -5,7 +5,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './related/*')
 
-.PHONY: verify fmt vet lint test race bench chaos threads ortho
+.PHONY: verify fmt vet lint test race bench chaos threads ortho fuzz
 
 verify: fmt vet lint race
 
@@ -66,3 +66,9 @@ ortho:
 	go test -race -count=1 ./internal/par
 	go test -race -count=1 -run 'MDot|MAxpy|MReduce|Ortho|Reduction|GMRES|Hybrid' ./internal/krylov ./internal/mpi ./internal/dist ./internal/experiments
 	go run ./cmd/benchtables -experiment ortho -size medium | tee BENCH_ortho.txt
+
+# Fuzz gate: explores mesh.Read beyond its checked-in seed corpus
+# (internal/mesh/testdata/fuzz/FuzzRead) for a fixed budget. The seeds
+# alone run under every plain `go test`; CI runs only those.
+fuzz:
+	go test -run '^$$' -fuzz FuzzRead -fuzztime 30s ./internal/mesh

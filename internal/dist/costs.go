@@ -56,13 +56,3 @@ func mdotBytes(k, n int) int64 { return 8 * int64(k+1) * int64(n) }
 // synchronization round.
 func orthoReduceFlops(k, n int) int64 { return 2 * int64(k+1) * int64(n) }
 func orthoReduceBytes(k, n int) int64 { return (8*int64(k) + 24) * int64(n) }
-
-// orthoFlops and orthoBytes: fused classical Gram-Schmidt step j
-// (0-based) of distributed GMRES over vectors of n local scalars — one
-// MAxpy subtraction sweep (2(j+1)n flops, (8(j+1)+16)n bytes) plus the
-// basis normalization (n flops, 16n bytes). The batched projections
-// nested inside are charged to the reduce phase by MDot itself, and the
-// post-projection norm is derived from the same batch — no extra
-// n-length sweep, no second synchronization.
-func orthoFlops(j, n int) int64 { return (2*int64(j+1) + 1) * int64(n) }
-func orthoBytes(j, n int) int64 { return (8*int64(j+1) + 32) * int64(n) }

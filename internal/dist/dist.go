@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"petscfun3d/internal/ilu"
+	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/mpi"
 	"petscfun3d/internal/par"
 	"petscfun3d/internal/prof"
@@ -332,6 +333,42 @@ func (m *Matrix) orthoReduce(w []float64, vs [][]float64, vj []float64, out []fl
 
 // Norm2 returns the global Euclidean norm.
 func (m *Matrix) Norm2(x []float64) float64 { return math.Sqrt(m.Dot(x, x)) }
+
+// GMRESOptions configures the distributed solve.
+type GMRESOptions struct {
+	Restart  int
+	MaxIters int
+	RelTol   float64
+}
+
+// GMRES runs right-preconditioned restarted GMRES on the distributed
+// system A x = b: krylov.SolveOneRound over this matrix's collectives.
+// b and x are this rank's owned parts; pc is the local preconditioner
+// solve (e.g. from Matrix.BlockJacobi). Every rank calls it
+// collectively, and all ranks see identical iteration decisions.
+func GMRES(a *Matrix, pc func(r, z []float64), b, x []float64, opts GMRESOptions) (krylov.Stats, error) {
+	if n := a.LocalN(); len(b) != n || len(x) != n {
+		return krylov.Stats{}, fmt.Errorf("dist: local vector lengths %d/%d, want %d", len(b), len(x), n)
+	}
+	var m krylov.Preconditioner
+	if pc != nil {
+		m = krylov.PrecondFunc(pc)
+	}
+	return krylov.SolveOneRound(system{a}, m, b, x, krylov.Options{
+		Restart: opts.Restart, MaxIters: opts.MaxIters, RelTol: opts.RelTol, Pool: a.pool,
+	})
+}
+
+// system binds a Matrix to krylov.System: the overlapped MulVec and
+// the matrix's collectives (Norm2 and MDot are promoted).
+type system struct{ *Matrix }
+
+func (s system) Apply(x, y []float64) error { return s.MulVec(x, y) }
+func (s system) Prof() *prof.Profiler       { return s.Matrix.Prof }
+
+func (s system) OrthoReduce(w []float64, vs [][]float64, vj, out []float64) {
+	s.orthoReduce(w, vs, vj, out)
+}
 
 // BlockJacobi factors this rank's diagonal block with ILU(k) and
 // returns the local preconditioner solve.

@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -187,44 +189,49 @@ func TestDistributedMDotBitwise(t *testing.T) {
 // arithmetic: ONE global reduction round per inner iteration (the fused
 // projection batch, which also carries the norm scalars) plus one
 // residual norm at startup and one per restart — where the per-vector
-// Gram-Schmidt formulation pays j+2 rounds at inner step j.
+// Gram-Schmidt formulation pays j+2 rounds at inner step j. A
+// single-rank collective counts the same rounds.
 func TestGMRESReductionRounds(t *testing.T) {
-	pr := buildTestProblem(t, 8, 7, 5, 4, 6)
-	b := 4
-	err := mpi.Run(6, func(c *mpi.Comm) error {
-		dm, err := NewMatrix(c, pr.a, pr.part.Part)
-		if err != nil {
-			return err
-		}
-		solve, err := dm.BlockJacobi(ilu.Options{Level: 0})
-		if err != nil {
-			return err
-		}
-		lb := make([]float64, dm.LocalN())
-		lx := make([]float64, dm.LocalN())
-		for li, gr := range dm.Owned {
-			copy(lb[li*b:(li+1)*b], pr.rhs[int(gr)*b:(int(gr)+1)*b])
-		}
-		// A small restart forces multiple cycles, exercising the restart
-		// residual rounds too.
-		st, err := GMRES(dm, solve, lb, lx, GMRESOptions{Restart: 4, MaxIters: 60, RelTol: 1e-8})
-		if err != nil {
-			return err
-		}
-		if !st.Converged {
-			return fmt.Errorf("rank %d: not converged (res %g)", c.Rank(), st.ResidualNorm)
-		}
-		if st.Restarts == 0 {
-			return fmt.Errorf("rank %d: expected restarts at Restart=4 (iters=%d)", c.Rank(), st.Iterations)
-		}
-		if want := 1 + st.Restarts + st.Iterations; st.Reductions != want {
-			return fmt.Errorf("rank %d: %d reduction rounds, want %d (1 startup + %d restarts + %d iterations)",
-				c.Rank(), st.Reductions, want, st.Restarts, st.Iterations)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, nranks := range []int{1, 6} {
+		t.Run(fmt.Sprintf("ranks=%d", nranks), func(t *testing.T) {
+			pr := buildTestProblem(t, 8, 7, 5, 4, nranks)
+			b := 4
+			err := mpi.Run(nranks, func(c *mpi.Comm) error {
+				dm, err := NewMatrix(c, pr.a, pr.part.Part)
+				if err != nil {
+					return err
+				}
+				solve, err := dm.BlockJacobi(ilu.Options{Level: 0})
+				if err != nil {
+					return err
+				}
+				lb := make([]float64, dm.LocalN())
+				lx := make([]float64, dm.LocalN())
+				for li, gr := range dm.Owned {
+					copy(lb[li*b:(li+1)*b], pr.rhs[int(gr)*b:(int(gr)+1)*b])
+				}
+				// A small restart forces multiple cycles, exercising the
+				// restart residual rounds too.
+				st, err := GMRES(dm, solve, lb, lx, GMRESOptions{Restart: 4, MaxIters: 60, RelTol: 1e-8})
+				if err != nil {
+					return err
+				}
+				if !st.Converged {
+					return fmt.Errorf("rank %d: not converged (res %g)", c.Rank(), st.ResidualNorm)
+				}
+				if st.Restarts == 0 {
+					return fmt.Errorf("rank %d: expected restarts at Restart=4 (iters=%d)", c.Rank(), st.Iterations)
+				}
+				if want := 1 + st.Restarts + st.Iterations; st.Reductions != want {
+					return fmt.Errorf("rank %d: %d reduction rounds, want %d (1 startup + %d restarts + %d iterations)",
+						c.Rank(), st.Reductions, want, st.Restarts, st.Iterations)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -611,6 +618,79 @@ func TestGMRESOptionValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGMRESNonFiniteOnEveryRank: a preconditioner that emits NaN on
+// one rank only still stops the solve on EVERY rank, at the same
+// iteration, with krylov.ErrNonFinite — the checked norms are globally
+// reduced, so no rank can run on while another has stopped (which
+// would deadlock the next collective).
+func TestGMRESNonFiniteOnEveryRank(t *testing.T) {
+	const nranks = 2
+	pr := buildTestProblem(t, 6, 5, 4, 4, nranks)
+	errs := make([]error, nranks)
+	iters := make([]int, nranks)
+	err := mpi.Run(nranks, func(c *mpi.Comm) error {
+		dm, err := NewMatrix(c, pr.a, pr.part.Part)
+		if err != nil {
+			return err
+		}
+		solve, err := dm.BlockJacobi(ilu.Options{Level: 0})
+		if err != nil {
+			return err
+		}
+		calls := 0
+		pc := func(r, z []float64) {
+			solve(r, z)
+			calls++
+			if c.Rank() == 0 && calls == 3 {
+				z[0] = math.NaN()
+			}
+		}
+		lb := make([]float64, dm.LocalN())
+		for i := range lb {
+			lb[i] = 1
+		}
+		st, err := GMRES(dm, pc, lb, make([]float64, dm.LocalN()),
+			GMRESOptions{Restart: 20, MaxIters: 60, RelTol: 1e-12})
+		errs[c.Rank()], iters[c.Rank()] = err, st.Iterations
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, e := range errs {
+		if !errors.Is(e, krylov.ErrNonFinite) {
+			t.Errorf("rank %d: err = %v, want krylov.ErrNonFinite", r, e)
+		}
+		if iters[r] != 3 {
+			t.Errorf("rank %d stopped at iteration %d, want 3", r, iters[r])
+		}
+	}
+}
+
+// TestNewtonSolveNonFiniteNamesStep: a NaN pseudo-timestep (CFL0 = NaN
+// poisons the Jacobian's time diagonal) fails the distributed Newton
+// solve with krylov.ErrNonFinite from the first linear solve, the step
+// named, instead of iterating GMRES on NaN.
+func TestNewtonSolveNonFiniteNamesStep(t *testing.T) {
+	const nranks = 2
+	d, p, q0 := buildResidualProblem(t, 6, 5, 4, nranks)
+	opts := DefaultNewtonOptions()
+	opts.CFL0 = math.NaN()
+	errs := make([]error, nranks)
+	err := mpi.Run(nranks, func(c *mpi.Comm) error {
+		_, errs[c.Rank()] = NewtonSolve(c, d, p.Part, append([]float64(nil), q0...), opts, nil)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, e := range errs {
+		if !errors.Is(e, krylov.ErrNonFinite) || !strings.Contains(e.Error(), "newton step 0") {
+			t.Errorf("rank %d: err = %v, want krylov.ErrNonFinite at newton step 0", r, e)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"petscfun3d/internal/euler"
 	"petscfun3d/internal/ilu"
+	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/mpi"
 	"petscfun3d/internal/newton"
 	"petscfun3d/internal/par"
@@ -179,7 +180,7 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 		if cfl > opts.CFLMax {
 			cfl = opts.CFLMax
 		}
-		var st GMRESStats
+		var st krylov.Stats
 		var newNorm float64
 		attempts := 0
 		for {
@@ -227,7 +228,7 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 func newtonStep(c *mpi.Comm, rsd *Residual, d *euler.Discretization, part []int32,
 	q, r []float64, rnorm, cfl float64, opts NewtonOptions, p *prof.Profiler, pool *par.Pool,
 	jac *sparse.BCSR, qTrial, rTrial, dq []float64, step, attempt int,
-	st *GMRESStats, newNorm *float64) error {
+	st *krylov.Stats, newNorm *float64) error {
 	if opts.BeforeStep != nil {
 		if err := opts.BeforeStep(step, attempt); err != nil {
 			return err

@@ -35,32 +35,43 @@ func orthoBytesCGS2(j, n int) int64 { return (16*int64(j+1) + 64) * int64(n) }
 func reorthFlops(j, n int) int64 { return (4*int64(j+1) + 2) * int64(n) }
 func reorthBytes(j, n int) int64 { return (16*int64(j+1) + 40) * int64(n) }
 
+// orthoFlopsOneRound and orthoBytesOneRound: one-round oblique CGS
+// step j — one MAxpy sweep (2(j+1)n flops, (8(j+1)+16)n bytes) plus the
+// scale (n flops, 16n bytes). The batch is charged to the reduce phase
+// by System.OrthoReduce, and the post-projection norm is derived.
+func orthoFlopsOneRound(j, n int) int64 { return (2*int64(j+1) + 1) * int64(n) }
+func orthoBytesOneRound(j, n int) int64 { return (8*int64(j+1) + 32) * int64(n) }
+
 // orthoFlopsFor and orthoBytesFor dispatch the per-mechanism formulas
 // for the orthogonalization span charge.
-func orthoFlopsFor(mech string, j, n int, reorth bool) int64 {
+func orthoFlopsFor(mech ortho, j, n int, reorth bool) int64 {
 	switch mech {
-	case "cgs":
+	case orthoCGS:
 		return orthoFlopsCGS(j, n)
-	case "cgs2":
+	case orthoCGS2:
 		f := orthoFlopsCGS2(j, n)
 		if reorth {
 			f += reorthFlops(j, n)
 		}
 		return f
+	case orthoOneRound:
+		return orthoFlopsOneRound(j, n)
 	}
 	return orthoFlops(j, n)
 }
 
-func orthoBytesFor(mech string, j, n int, reorth bool) int64 {
+func orthoBytesFor(mech ortho, j, n int, reorth bool) int64 {
 	switch mech {
-	case "cgs":
+	case orthoCGS:
 		return orthoBytesCGS(j, n)
-	case "cgs2":
+	case orthoCGS2:
 		b := orthoBytesCGS2(j, n)
 		if reorth {
 			b += reorthBytes(j, n)
 		}
 		return b
+	case orthoOneRound:
+		return orthoBytesOneRound(j, n)
 	}
 	return orthoBytes(j, n)
 }

@@ -1,11 +1,16 @@
-// Package krylov implements the restarted GMRES(m) Krylov solver with
-// right preconditioning and modified Gram-Schmidt orthogonalization —
-// the linear solver inside every Newton step of the application. The
-// operator is an interface, so both assembled matrices and the paper's
-// matrix-free finite-difference Jacobian plug in.
+// Package krylov implements restarted GMRES(m) with right
+// preconditioning — the linear solver inside every Newton step. One
+// body serves both drivers: Solve runs it over par reductions on one
+// node, dist.GMRES over a distributed matrix's collectives (System).
+// It has four orthogonalization mechanisms: modified Gram-Schmidt
+// ("mgs", default), fused classical ("cgs"), classical with selective
+// reorthogonalization ("cgs2"), and the distributed entry's one-round
+// oblique classical Gram-Schmidt (SolveOneRound), which no option
+// string selects. Assembled and matrix-free operators both plug in.
 package krylov
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -83,10 +88,10 @@ func DefaultOptions() Options {
 // preconditioner apply, and ~m/2 inner products for orthogonalization).
 // InnerProds counts n-length dot products computed; Reductions counts
 // synchronizing reduction rounds (pool barriers here, global reductions
-// in a distributed run) — "mgs" pays one round per product where the
-// fused "cgs"/"cgs2" paths batch a whole column into one, which is
-// exactly the distinction the parallel-cost model's reduction term
-// needs.
+// in a distributed run), residual norms included — "mgs" pays one round
+// per product where the fused mechanisms batch a whole column into one,
+// which is exactly the distinction the parallel-cost model's reduction
+// term needs.
 type Stats struct {
 	Iterations   int
 	MatVecs      int
@@ -99,10 +104,95 @@ type Stats struct {
 	ResidualNorm float64
 }
 
+// ErrNonFinite reports a NaN or Inf (re)start residual norm or Arnoldi
+// residual estimate. Both are globally reduced, so every rank of a
+// distributed solve returns it at the same iteration.
+var ErrNonFinite = errors.New("krylov: non-finite residual")
+
+// System is what the GMRES body needs from the layer its vectors live
+// on: the operator and the global reductions (local vector updates run
+// on Options.Pool). A distributed matrix supplies collectives whose
+// results are identical on every rank, so all ranks branch alike.
+type System interface {
+	// Apply computes y = A x; an error aborts the solve.
+	Apply(x, y []float64) error
+	// Norm2 returns the global Euclidean norm of x.
+	Norm2(x []float64) float64
+	// MDot fills out[i] with the global inner product x·vs[i] in one
+	// reduction round.
+	MDot(x []float64, vs [][]float64, out []float64)
+	// OrthoReduce is the one round of the one-round mechanism:
+	// out[i] = w·vs[i] for every batch vector and out[len(vs)] = ‖vj‖².
+	OrthoReduce(w []float64, vs [][]float64, vj, out []float64)
+	// Prof is the profiler the solve's spans open on.
+	Prof() *prof.Profiler
+}
+
+// ortho selects the Gram-Schmidt mechanism of one solve.
+type ortho int
+
+const (
+	orthoMGS ortho = iota
+	orthoCGS
+	orthoCGS2
+	orthoOneRound
+)
+
+// mechanisms maps the Options.Orthogonalization values to mechanisms.
+var mechanisms = map[string]ortho{"": orthoMGS, "mgs": orthoMGS, "cgs": orthoCGS, "cgs2": orthoCGS2}
+
+// local is Solve's System: par reductions over one node's pool, the
+// operator timed as the matvec span on prof.Default.
+type local struct {
+	a    Operator
+	pool *par.Pool
+}
+
+func (s local) Apply(x, y []float64) error {
+	sp := prof.Begin(prof.PhaseMatVec)
+	s.a.Apply(x, y)
+	sp.End(0, 0) // the operator's own phases (e.g. flux) carry the work
+	return nil
+}
+
+func (s local) Norm2(x []float64) float64                       { return par.Norm2(s.pool, x) }
+func (s local) MDot(x []float64, vs [][]float64, out []float64) { par.MDot(s.pool, x, vs, out) }
+func (local) Prof() *prof.Profiler                              { return prof.Default }
+
+func (s local) OrthoReduce(w []float64, vs [][]float64, vj, out []float64) {
+	par.MDot(s.pool, w, vs, out)
+	out[len(vs)] = par.Dot(s.pool, vj, vj)
+}
+
 // Solve runs right-preconditioned GMRES(m) on A x = b, updating x in
 // place (its incoming value is the initial guess). Returns solve
-// statistics; an error only for malformed inputs.
+// statistics; an error for malformed inputs or ErrNonFinite.
 func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, error) {
+	mech, ok := mechanisms[opts.Orthogonalization]
+	if !ok {
+		return Stats{}, fmt.Errorf("krylov: unknown orthogonalization %q", opts.Orthogonalization)
+	}
+	return solve(local{a, opts.Pool}, m, b, x, opts, mech)
+}
+
+// SolveOneRound runs the same body over sys with one-pass oblique
+// classical Gram-Schmidt — every scalar an iteration needs arrives from
+// ONE System.OrthoReduce round, where mgs pays j+2 at step j. It is
+// dist.GMRES's mechanism; opts.Orthogonalization is ignored.
+func SolveOneRound(sys System, m Preconditioner, b, x []float64, opts Options) (Stats, error) {
+	return solve(sys, m, b, x, opts, orthoOneRound)
+}
+
+// checkFinite wraps ErrNonFinite with the offending value and the
+// iteration it appeared at, or returns nil for a finite v.
+func checkFinite(what string, v float64, iter int) error {
+	if !math.IsNaN(v) && !math.IsInf(v, 0) {
+		return nil
+	}
+	return fmt.Errorf("%w: %s %g at iteration %d", ErrNonFinite, what, v, iter)
+}
+
+func solve(sys System, m Preconditioner, b, x []float64, opts Options, mech ortho) (Stats, error) {
 	n := len(b)
 	if len(x) != n {
 		return Stats{}, fmt.Errorf("krylov: len(x)=%d, len(b)=%d", len(x), n)
@@ -110,21 +200,12 @@ func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, e
 	if opts.Restart < 1 || opts.MaxIters < 1 {
 		return Stats{}, fmt.Errorf("krylov: need positive Restart and MaxIters")
 	}
-	switch opts.Orthogonalization {
-	case "", "mgs", "cgs", "cgs2":
-	default:
-		return Stats{}, fmt.Errorf("krylov: unknown orthogonalization %q", opts.Orthogonalization)
-	}
 	if m == nil {
 		m = Identity{}
 	}
-	ksp := prof.Begin(prof.PhaseKrylov)
+	pr := sys.Prof()
+	ksp := pr.Begin(prof.PhaseKrylov)
 	defer ksp.End(0, 0)
-	apply := func(x, y []float64) {
-		sp := prof.Begin(prof.PhaseMatVec)
-		a.Apply(x, y)
-		sp.End(0, 0) // the operator's own phases (e.g. flux) carry the work
-	}
 	mr := opts.Restart
 	var st Stats
 
@@ -148,56 +229,54 @@ func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, e
 	y := make([]float64, mr)
 	z := make([]float64, n)
 	w := make([]float64, n)
+	r := make([]float64, n)
 	// Fused-orthogonalization workspace: one Hessenberg column of batched
-	// dot results (hcol's extra slot carries the pre-projection ‖w‖² for
-	// cgs2 — w itself rides the fused pass as the last vector of vlist),
-	// and the negated coefficients MAxpy subtracts with.
-	hcol := make([]float64, mr+2)
+	// dot results plus the ‖w‖² and ‖v_j‖² slots, the negated
+	// coefficients MAxpy subtracts with, and the batch's vector list.
+	hcol := make([]float64, mr+3)
 	hneg := make([]float64, mr+1)
 	vlist := make([][]float64, mr+2)
+	// vnrm[i] is the one-round mechanism's measured ‖v_i‖²: v_{j+1} is
+	// normalized by a norm DERIVED from the batch, so the next round
+	// measures it and the projection divides by it — otherwise the
+	// normalization error would grow geometrically through the derived
+	// norm.
+	vnrm := make([]float64, mr+1)
 
-	r := make([]float64, n)
-	apply(x, r)
-	st.MatVecs++
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	beta := par.Norm2(opts.Pool, r)
-	st.InitialNorm = beta
-	st.ResidualNorm = beta
-	target := opts.RelTol * beta
-	if opts.AbsTol > target {
-		target = opts.AbsTol
-	}
-	if beta <= target {
-		st.Converged = true
-		return st, nil
-	}
-
+	var target float64
+	bs := b[:len(r)] // bce: ties len(bs) to len(r); the range index serves both unchecked
 	for st.Iterations < opts.MaxIters {
-		// Start (re)cycle.
-		if st.Iterations > 0 {
-			apply(x, r)
-			st.MatVecs++
-			for i := range r {
-				r[i] = b[i] - r[i]
-			}
-			beta = par.Norm2(opts.Pool, r)
+		// Start (re)cycle: r = b − A x and its norm, one reduction round.
+		if err := sys.Apply(x, r); err != nil {
+			return st, err
+		}
+		st.MatVecs++
+		for i := range r {
+			r[i] = bs[i] - r[i]
+		}
+		beta := sys.Norm2(r)
+		st.InnerProds++
+		st.Reductions++
+		if err := checkFinite("residual norm", beta, st.Iterations); err != nil {
+			return st, err
+		}
+		if st.Iterations == 0 {
+			st.InitialNorm = beta
+			target = max(opts.RelTol*beta, opts.AbsTol)
+		} else {
 			st.Restarts++
-			if beta <= target {
-				st.ResidualNorm = beta
-				st.Converged = true
-				return st, nil
-			}
+		}
+		st.ResidualNorm = beta
+		if beta <= target {
+			st.Converged = true
+			return st, nil
 		}
 		inv := 1 / beta
 		v0 := v[0][:len(r)] // bce: ties len(v0) to len(r); the range index serves both unchecked
 		for i := range r {
 			v0[i] = r[i] * inv
 		}
-		for i := range g {
-			g[i] = 0
-		}
+		clear(g)
 		g[0] = beta
 
 		j := 0
@@ -206,70 +285,94 @@ func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, e
 			// w = A M^{-1} v_j.
 			m.Apply(v[j], z)
 			st.PrecondApps++
-			apply(z, w)
+			if err := sys.Apply(z, w); err != nil {
+				return st, err
+			}
 			st.MatVecs++
-			osp := prof.Begin(prof.PhaseOrtho)
-			prof.NoteThreads(prof.PhaseOrtho, opts.Pool.Workers())
+			osp := pr.Begin(prof.PhaseOrtho)
+			pr.NoteThreads(prof.PhaseOrtho, opts.Pool.Workers())
 			var wwPre float64
-			switch opts.Orthogonalization {
-			case "", "mgs":
+			switch mech {
+			case orthoMGS:
 				// Modified Gram-Schmidt: one reduction round per basis
 				// vector, w streamed 2(j+1) times.
+				one, h0 := vlist[:1], hcol[:1]
 				for i, vi := range v[:j+1] {
-					hij := par.Dot(opts.Pool, w, vi) //lint:bce-ok inlined kernel prologue length check, once per O(n) sweep
-					h[i][j] = hij                    //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
+					one[0] = vi
+					sys.MDot(w, one, h0)
+					hij := h0[0]
+					h[i][j] = hij //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
 					st.InnerProds++
 					st.Reductions++
 					par.Axpy(opts.Pool, -hij, vi, w)
 				}
-			case "cgs":
+			case orthoCGS:
 				// Classical Gram-Schmidt on the fused kernels: all j+1
 				// projections from ONE pass over w (one batched reduction
 				// round), then one fused subtraction sweep. Same dots,
 				// same segmented partials as the per-vector path —
 				// bitwise identical to it — but w streams once per pass.
-				par.MDot(opts.Pool, w, v[:j+1], hcol)
+				sys.MDot(w, v[:j+1], hcol)
 				st.InnerProds += j + 1
 				st.Reductions++
-				hc := hcol[:j+1]
-				hn := hneg[:len(hc)] // bce: ties len(hn) to len(hc); the range index serves both unchecked
-				for i, hij := range hc {
-					h[i][j] = hij //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
-					hn[i] = -hij
-				}
-				par.MAxpy(opts.Pool, hneg, v[:j+1], w)
-			case "cgs2":
-				// Classical Gram-Schmidt with selective
-				// reorthogonalization: the pre-projection ‖w‖² rides the
-				// same fused pass (w itself is the last vector of the
-				// batch), so the reorthogonalization decision below costs
-				// no extra reduction round.
+			case orthoCGS2, orthoOneRound:
+				// The pre-projection ‖w‖² rides the same round (w itself
+				// is the last vector of the batch): cgs2's
+				// reorthogonalization decision below and the one-round
+				// derived norm cost no extra round. The one-round batch
+				// also carries the measured ‖v_j‖².
 				vl := vlist[:j+2]
 				copy(vl, v[:j+1])
 				vl[j+1] = w
-				par.MDot(opts.Pool, w, vl, hcol)
-				st.InnerProds += j + 2
+				if mech == orthoCGS2 {
+					sys.MDot(w, vl, hcol)
+					st.InnerProds += j + 2
+				} else {
+					sys.OrthoReduce(w, vl, v[j], hcol)
+					st.InnerProds += j + 3
+					vnrm[j] = hcol[j+2]
+				}
 				st.Reductions++
 				wwPre = hcol[j+1]
+			}
+			if mech != orthoMGS {
+				// One fused subtraction sweep. The one-round mechanism
+				// projects against the MEASURED basis norms and derives
+				// ‖w − Vh‖² = ‖w‖² − Σ hᵢ·(w·vᵢ) from the same batch.
+				t := wwPre
 				hc := hcol[:j+1]
 				hn := hneg[:len(hc)] // bce: ties len(hn) to len(hc); the range index serves both unchecked
 				for i, hij := range hc {
+					if mech == orthoOneRound {
+						di := hij
+						hij /= vnrm[i]
+						t -= hij * di
+					}
 					h[i][j] = hij //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
 					hn[i] = -hij
 				}
 				par.MAxpy(opts.Pool, hneg, v[:j+1], w)
+				if mech == orthoOneRound {
+					// Identical on every rank; the clamp covers
+					// cancellation at breakdown.
+					if t < 0 {
+						t = 0
+					}
+					h[j+1][j] = math.Sqrt(t)
+				}
 			}
-			h[j+1][j] = par.Norm2(opts.Pool, w)
-			st.InnerProds++
-			st.Reductions++
-			reorth := false
-			if opts.Orthogonalization == "cgs2" && h[j+1][j]*h[j+1][j] < 0.5*wwPre {
-				// The projection cancelled more than half of w's mass
-				// (‖w_after‖ < ‖w_before‖/√2, the DGKS criterion): one
-				// full second Gram-Schmidt pass against the basis,
-				// corrections folded into the Hessenberg column.
-				reorth = true
-				par.MDot(opts.Pool, w, v[:j+1], hcol)
+			if mech != orthoOneRound {
+				h[j+1][j] = sys.Norm2(w)
+				st.InnerProds++
+				st.Reductions++
+			}
+			// The projection cancelled more than half of w's mass
+			// (‖w_after‖ < ‖w_before‖/√2, the DGKS criterion): one full
+			// second Gram-Schmidt pass against the basis, corrections
+			// folded into the Hessenberg column.
+			reorth := mech == orthoCGS2 && h[j+1][j]*h[j+1][j] < 0.5*wwPre
+			if reorth {
+				sys.MDot(w, v[:j+1], hcol)
 				st.InnerProds += j + 1
 				st.Reductions++
 				hc := hcol[:j+1]
@@ -279,7 +382,7 @@ func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, e
 					hn[i] = -cij
 				}
 				par.MAxpy(opts.Pool, hneg, v[:j+1], w)
-				h[j+1][j] = par.Norm2(opts.Pool, w)
+				h[j+1][j] = sys.Norm2(w)
 				st.InnerProds++
 				st.Reductions++
 			}
@@ -290,15 +393,12 @@ func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, e
 					vj[i] = w[i] * inv
 				}
 			} else {
-				// Happy breakdown: exact solution in this subspace.
-				for i := range v[j+1] {
-					v[j+1][i] = 0
-				}
+				clear(v[j+1]) // happy breakdown: exact solution in this subspace
 			}
-			// The projections, subtractions, norm(s), and the basis
-			// scale: all O(n) vector sweeps, charged per mechanism.
-			osp.End(orthoFlopsFor(opts.Orthogonalization, j, n, reorth),
-				orthoBytesFor(opts.Orthogonalization, j, n, reorth))
+			// The local O(n) sweeps, charged per mechanism (the
+			// one-round batch is charged to the reduce phase by the
+			// System's OrthoReduce itself).
+			osp.End(orthoFlopsFor(mech, j, n, reorth), orthoBytesFor(mech, j, n, reorth))
 			// Apply accumulated Givens rotations to the new column.
 			for i := 0; i < j; i++ {
 				t := cs[i]*h[i][j] + sn[i]*h[i+1][j] //lint:bce-ok O(restart) Givens update down the Hessenberg column; row lengths are not provable and the loop is negligible next to the n-length sweeps
@@ -318,6 +418,9 @@ func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, e
 			g[j+1] = -sn[j] * g[j]
 			g[j] = cs[j] * g[j]
 			st.ResidualNorm = math.Abs(g[j+1])
+			if err := checkFinite("Arnoldi residual estimate", st.ResidualNorm, st.Iterations); err != nil {
+				return st, err
+			}
 			if st.ResidualNorm <= target {
 				j++
 				break
@@ -338,9 +441,7 @@ func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, e
 				y[i] = s / h[i][i]
 			}
 		}
-		for i := range z {
-			z[i] = 0
-		}
+		clear(z)
 		// z = V y in one fused read-modify-write sweep (bitwise identical
 		// to the per-vector Axpy sequence, one barrier instead of j).
 		par.MAxpy(opts.Pool, yj, v[:j], z)

@@ -1,7 +1,9 @@
 package krylov
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"petscfun3d/internal/ilu"
@@ -330,7 +332,9 @@ func TestCGS2OrthogonalizationConverges(t *testing.T) {
 // TestReductionsAccounting pins the per-mechanism synchronizing-round
 // arithmetic: MGS pays j+2 rounds at inner step j where the fused paths
 // pay 2 (plus 2 per selective reorthogonalization for cgs2) — exactly
-// the distinction the parallel-cost model's reduction term consumes.
+// the distinction the parallel-cost model's reduction term consumes —
+// and every mechanism pays one residual-norm round at startup and one
+// per restart.
 func TestReductionsAccounting(t *testing.T) {
 	a := wingMatrix(t, 5, 4, 4, 4, 37)
 	n := a.N()
@@ -364,7 +368,7 @@ func TestReductionsAccounting(t *testing.T) {
 		return rounds
 	}
 	stM := solve("mgs")
-	if want := mgsRounds(stM.Iterations, stM.Restarts, 12); stM.Reductions != want {
+	if want := 1 + stM.Restarts + mgsRounds(stM.Iterations, stM.Restarts, 12); stM.Reductions != want {
 		t.Errorf("mgs reductions=%d, want %d (iters=%d restarts=%d)",
 			stM.Reductions, want, stM.Iterations, stM.Restarts)
 	}
@@ -373,15 +377,54 @@ func TestReductionsAccounting(t *testing.T) {
 			stM.InnerProds, stM.Reductions)
 	}
 	stC := solve("cgs")
-	if want := 2 * stC.Iterations; stC.Reductions != want {
-		t.Errorf("cgs reductions=%d, want %d (2 per iteration)", stC.Reductions, want)
+	if want := 1 + stC.Restarts + 2*stC.Iterations; stC.Reductions != want {
+		t.Errorf("cgs reductions=%d, want %d (1 + %d restarts + 2 per iteration)", stC.Reductions, want, stC.Restarts)
 	}
 	st2 := solve("cgs2")
-	if st2.Reductions < 2*st2.Iterations || st2.Reductions%2 != 0 {
-		t.Errorf("cgs2 reductions=%d: want an even count >= %d (2 per iteration + 2 per reorth)",
-			st2.Reductions, 2*st2.Iterations)
+	ortho2 := st2.Reductions - 1 - st2.Restarts // the orthogonalization rounds
+	if ortho2 < 2*st2.Iterations || ortho2%2 != 0 {
+		t.Errorf("cgs2 orthogonalization rounds=%d: want an even count >= %d (2 per iteration + 2 per reorth)",
+			ortho2, 2*st2.Iterations)
 	}
-	if st2.Reductions > 4*st2.Iterations {
-		t.Errorf("cgs2 reductions=%d exceed the 2-pass ceiling %d", st2.Reductions, 4*st2.Iterations)
+	if ortho2 > 4*st2.Iterations {
+		t.Errorf("cgs2 orthogonalization rounds=%d exceed the 2-pass ceiling %d", ortho2, 4*st2.Iterations)
+	}
+}
+
+// TestNonFiniteResidualStopsSolve: a NaN from the operator ends the
+// solve with ErrNonFinite at the iteration it appeared, instead of
+// running MaxIters of NaN work. Both checked places are covered: the
+// initial residual norm (a poisoned right-hand side) and the Arnoldi
+// residual estimate (an operator that turns NaN mid-cycle).
+func TestNonFiniteResidualStopsSolve(t *testing.T) {
+	a := wingMatrix(t, 4, 4, 3, 1, 71)
+	n := a.N()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = 1
+	}
+	for _, mech := range []string{"mgs", "cgs", "cgs2"} {
+		calls := 0
+		op := OperatorFunc(func(x, y []float64) {
+			a.MulVec(x, y)
+			calls++
+			if calls == 4 { // the initial residual plus two clean iterations
+				y[n/2] = math.NaN()
+			}
+		})
+		st, err := Solve(op, nil, b, make([]float64, n),
+			Options{Restart: 20, MaxIters: 80, RelTol: 1e-12, Orthogonalization: mech})
+		if !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%s: err = %v, want ErrNonFinite", mech, err)
+		}
+		if st.Iterations != 3 || !strings.Contains(err.Error(), "iteration 3") {
+			t.Errorf("%s: stopped at iteration %d (%v), want 3", mech, st.Iterations, err)
+		}
+	}
+	bad := append([]float64(nil), b...)
+	bad[0] = math.Inf(1)
+	st, err := Solve(OperatorFunc(a.MulVec), nil, bad, make([]float64, n), DefaultOptions())
+	if !errors.Is(err, ErrNonFinite) || st.Iterations != 0 {
+		t.Errorf("Inf right-hand side: err = %v after %d iterations, want ErrNonFinite at 0", err, st.Iterations)
 	}
 }

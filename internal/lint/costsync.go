@@ -154,22 +154,6 @@ var costChecks = []coefCheck{
 	{pkg: "petscfun3d/internal/dist", kernel: "Matrix.orthoReduce", totalLoops: 0,
 		calls: []callTerm{{"MDot", 0, 2}, {"Dot", 0, 1}}, formula: "orthoReduceBytes",
 		countVar: "n", env: map[string]int64{"k": 1}, bytes: true},
-	// dist GMRES orthogonalization at step j=0: the fused MAxpy
-	// subtraction sweep (2 flops per element per applied vector, the
-	// callTerm mult carrying j+1) plus the basis scale (loop 5, 1 flop);
-	// the batched projections inside are charged to the reduce phase by
-	// orthoReduce itself, so they do not appear in orthoFlops. The
-	// O(restart) Hessenberg copy loop (loop 4) carries no n-marginal.
-	{pkg: "petscfun3d/internal/dist", kernel: "GMRES", totalLoops: 12,
-		loops: []loopTerm{{5, 1}}, calls: []callTerm{{"MAxpy", 0, 1}},
-		formula: "orthoFlops", countVar: "n", env: map[string]int64{"j": 0}},
-	// The same step's traffic: MAxpy moves j+3 streams of 8 bytes (j+1
-	// applied vectors plus the read-modify-write of w) and the scale
-	// streams 16 — (8(j+1)+32)n in total.
-	{pkg: "petscfun3d/internal/dist", kernel: "GMRES", totalLoops: 12,
-		loops: []loopTerm{{5, 1}}, calls: []callTerm{{"MAxpy", 0, 3}},
-		formula: "orthoBytes", countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
-
 	// ilu triangular-solve row bodies, shared by Solve and SolvePar's
 	// level shards: two flops per stored factor scalar. The forward and
 	// backward sweeps partition the blocks and run the same per-block
@@ -194,56 +178,71 @@ var costChecks = []coefCheck{
 		loops: []loopTerm{{1, 16}}, formula: "Factorization.SolveFlops",
 		countVar: "NB", env: map[string]int64{"B": 4, "ColIdx": 500}},
 
-	// krylov orthogonalization at step j=0, per mechanism. Innermost
-	// loop 10 is the basis-scale sweep (1 flop, 16 bytes per element);
-	// the O(restart) Hessenberg copy loops (7-9) carry no n-marginal.
-	// Norm2's third occurrence is the post-projection norm (the first
-	// two normalize restart residuals); its fourth is the cgs2
-	// reorthogonalization recompute. MDot/MAxpy occurrences 0/1/2 are
-	// the cgs, cgs2, and reorthogonalization passes in order; the
-	// callTerm mult carries the batch width (flops) and stream count
-	// (bytes) at the pinned j=0.
+	// krylov orthogonalization at step j=0, per mechanism, pinned
+	// against the one GMRES body (solve) both drivers run. Innermost loop
+	// 7 is the basis scale (1 flop, 16 bytes per element). Norm2 #0-#2:
+	// (re)start residual, post-projection, cgs2 recompute. MDot #0-#3:
+	// mgs, cgs, cgs2, reorthogonalization. MAxpy #0: the fused
+	// subtraction of cgs, cgs2 and one-round; #1 the reorthogonalization.
+	// The callTerm mult carries batch width (flops) or streams (bytes).
 	//
-	// mgs: one Dot (2) + one Axpy (2) per projection, the Norm2 (2),
-	// and the scale (1).
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		loops:    []loopTerm{{10, 1}},
-		calls:    []callTerm{{"Dot", 0, 1}, {"Axpy", 0, 1}, {"Norm2", 2, 1}},
+	// mgs: one single-vector MDot (2 flops, 16 bytes) + one Axpy (2,
+	// 24) per projection, the Norm2 (2, 16), and the scale (1, 16).
+	{pkg: "petscfun3d/internal/krylov", kernel: "solve", totalLoops: 10,
+		loops:    []loopTerm{{7, 1}},
+		calls:    []callTerm{{"MDot", 0, 1}, {"Axpy", 0, 1}, {"Norm2", 1, 1}},
 		formula:  "orthoFlops",
 		countVar: "n", env: map[string]int64{"j": 0}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "solve", totalLoops: 10,
+		loops:    []loopTerm{{7, 1}},
+		calls:    []callTerm{{"MDot", 0, 2}, {"Axpy", 0, 1}, {"Norm2", 1, 1}},
+		formula:  "orthoBytes",
+		countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
 	// cgs: one fused MDot pass (2 per vector), one fused MAxpy sweep
 	// (2 per vector), the Norm2, and the scale.
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		loops:    []loopTerm{{10, 1}},
-		calls:    []callTerm{{"MDot", 0, 1}, {"MAxpy", 0, 1}, {"Norm2", 2, 1}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "solve", totalLoops: 10,
+		loops:    []loopTerm{{7, 1}},
+		calls:    []callTerm{{"MDot", 1, 1}, {"MAxpy", 0, 1}, {"Norm2", 1, 1}},
 		formula:  "orthoFlopsCGS",
 		countVar: "n", env: map[string]int64{"j": 0}},
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		loops:    []loopTerm{{10, 1}},
-		calls:    []callTerm{{"MDot", 0, 2}, {"MAxpy", 0, 3}, {"Norm2", 2, 1}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "solve", totalLoops: 10,
+		loops:    []loopTerm{{7, 1}},
+		calls:    []callTerm{{"MDot", 1, 2}, {"MAxpy", 0, 3}, {"Norm2", 1, 1}},
 		formula:  "orthoBytesCGS",
 		countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
 	// cgs2: the MDot batch carries w itself as one extra vector (the
 	// pre-projection norm for the reorthogonalization decision).
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		loops:    []loopTerm{{10, 1}},
-		calls:    []callTerm{{"MDot", 1, 2}, {"MAxpy", 1, 1}, {"Norm2", 2, 1}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "solve", totalLoops: 10,
+		loops:    []loopTerm{{7, 1}},
+		calls:    []callTerm{{"MDot", 2, 2}, {"MAxpy", 0, 1}, {"Norm2", 1, 1}},
 		formula:  "orthoFlopsCGS2",
 		countVar: "n", env: map[string]int64{"j": 0}},
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		loops:    []loopTerm{{10, 1}},
-		calls:    []callTerm{{"MDot", 1, 3}, {"MAxpy", 1, 3}, {"Norm2", 2, 1}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "solve", totalLoops: 10,
+		loops:    []loopTerm{{7, 1}},
+		calls:    []callTerm{{"MDot", 2, 3}, {"MAxpy", 0, 3}, {"Norm2", 1, 1}},
 		formula:  "orthoBytesCGS2",
 		countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
 	// The selective reorthogonalization pass: a second MDot/MAxpy round
 	// and the norm recompute (no scale — the caller normalizes once).
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		calls:    []callTerm{{"MDot", 2, 1}, {"MAxpy", 2, 1}, {"Norm2", 3, 1}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "solve", totalLoops: 10,
+		calls:    []callTerm{{"MDot", 3, 1}, {"MAxpy", 1, 1}, {"Norm2", 2, 1}},
 		formula:  "reorthFlops",
 		countVar: "n", env: map[string]int64{"j": 0}},
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		calls:    []callTerm{{"MDot", 2, 2}, {"MAxpy", 2, 3}, {"Norm2", 3, 1}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "solve", totalLoops: 10,
+		calls:    []callTerm{{"MDot", 3, 2}, {"MAxpy", 1, 3}, {"Norm2", 2, 1}},
 		formula:  "reorthBytes",
+		countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
+	// One-round oblique CGS (dist.GMRES): the shared MAxpy and the
+	// scale; its batch is charged by Matrix.orthoReduce (pinned above).
+	{pkg: "petscfun3d/internal/krylov", kernel: "solve", totalLoops: 10,
+		loops:    []loopTerm{{7, 1}},
+		calls:    []callTerm{{"MAxpy", 0, 1}},
+		formula:  "orthoFlopsOneRound",
+		countVar: "n", env: map[string]int64{"j": 0}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "solve", totalLoops: 10,
+		loops:    []loopTerm{{7, 1}},
+		calls:    []callTerm{{"MAxpy", 0, 3}},
+		formula:  "orthoBytesOneRound",
 		countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
 
 	// par fused multi-vector group-of-4 kernels: MDotFlops/MDotBytes'

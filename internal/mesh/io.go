@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -45,6 +46,10 @@ func (m *Mesh) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
+// ErrNonFiniteCoord reports a NaN or Inf vertex coordinate in a mesh
+// file, which strconv.ParseFloat accepts.
+var ErrNonFiniteCoord = errors.New("mesh: non-finite coordinate")
+
 // Read parses a mesh written by Write, rebuilding connectivity and
 // estimating boundary normals from the boundary closure (see
 // RebuildBoundaryNormals).
@@ -74,16 +79,14 @@ func Read(r io.Reader) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The declared counts are not trusted for allocation: the slices
+	// grow as lines arrive, so a huge or lying header fails at the first
+	// missing line instead of preallocating from it.
 	var nv int
-	if _, err := fmt.Sscanf(line, "vertices %d", &nv); err != nil || nv < 1 {
+	if _, err := fmt.Sscanf(line, "vertices %d", &nv); err != nil || nv < 1 || nv > math.MaxInt32 {
 		return nil, fmt.Errorf("mesh: bad vertices line %q", line)
 	}
-	m := &Mesh{
-		Coords:   make([]Vec3, nv),
-		Boundary: make([]bool, nv),
-		BKind:    make([]BoundaryKind, nv),
-		BNormal:  make([]Vec3, nv),
-	}
+	m := &Mesh{}
 	for v := 0; v < nv; v++ {
 		line, err := next()
 		if err != nil {
@@ -93,23 +96,22 @@ func Read(r io.Reader) (*Mesh, error) {
 		if len(f) != 4 {
 			return nil, fmt.Errorf("mesh: vertex %d: want 4 fields, got %q", v, line)
 		}
-		var c Vec3
-		if c.X, err = strconv.ParseFloat(f[0], 64); err != nil {
-			return nil, fmt.Errorf("mesh: vertex %d: %w", v, err)
-		}
-		if c.Y, err = strconv.ParseFloat(f[1], 64); err != nil {
-			return nil, fmt.Errorf("mesh: vertex %d: %w", v, err)
-		}
-		if c.Z, err = strconv.ParseFloat(f[2], 64); err != nil {
-			return nil, fmt.Errorf("mesh: vertex %d: %w", v, err)
+		var xyz [3]float64
+		for c := range xyz {
+			if xyz[c], err = strconv.ParseFloat(f[c], 64); err != nil {
+				return nil, fmt.Errorf("mesh: vertex %d: %w", v, err)
+			}
+			if math.IsNaN(xyz[c]) || math.IsInf(xyz[c], 0) {
+				return nil, fmt.Errorf("%w at vertex %d: %q", ErrNonFiniteCoord, v, f[c])
+			}
 		}
 		kind, err := strconv.Atoi(f[3])
 		if err != nil || kind < 0 || kind > int(BWall) {
 			return nil, fmt.Errorf("mesh: vertex %d: bad boundary kind %q", v, f[3])
 		}
-		m.Coords[v] = c
-		m.BKind[v] = BoundaryKind(kind)
-		m.Boundary[v] = kind != 0
+		m.Coords = append(m.Coords, Vec3{xyz[0], xyz[1], xyz[2]})
+		m.BKind = append(m.BKind, BoundaryKind(kind))
+		m.Boundary = append(m.Boundary, kind != 0)
 	}
 	line, err = next()
 	if err != nil {
@@ -119,7 +121,6 @@ func Read(r io.Reader) (*Mesh, error) {
 	if _, err := fmt.Sscanf(line, "tets %d", &nt); err != nil || nt < 1 {
 		return nil, fmt.Errorf("mesh: bad tets line %q", line)
 	}
-	m.Tets = make([][4]int32, nt)
 	for ti := 0; ti < nt; ti++ {
 		line, err := next()
 		if err != nil {
@@ -129,6 +130,7 @@ func Read(r io.Reader) (*Mesh, error) {
 		if len(f) != 4 {
 			return nil, fmt.Errorf("mesh: tet %d: want 4 fields, got %q", ti, line)
 		}
+		m.Tets = append(m.Tets, [4]int32{})
 		for c := 0; c < 4; c++ {
 			x, err := strconv.Atoi(f[c])
 			if err != nil || x < 0 || x >= nv {

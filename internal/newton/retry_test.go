@@ -1,7 +1,9 @@
 package newton
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -75,5 +77,31 @@ func TestStepRetriesExhaustedReturnPartialResult(t *testing.T) {
 	}
 	if res.FinalRnorm <= 0 || res.InitialRnorm <= 0 {
 		t.Fatalf("partial result lost its norms: initial %g final %g", res.InitialRnorm, res.FinalRnorm)
+	}
+}
+
+// TestNonFiniteLinearSolveNamesStep: an operator that emits NaN fails
+// the step's linear solve with krylov.ErrNonFinite, which reaches the
+// caller through the step's error with the step named.
+func TestNonFiniteLinearSolveNamesStep(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MaxSteps = 60
+	s, q := buildSolver(t, 6, 5, 4, euler.NewIncompressible(), opts)
+	applies := 0
+	s.Hooks = &Hooks{WrapOperator: func(op krylov.Operator) krylov.Operator {
+		return krylov.OperatorFunc(func(x, y []float64) {
+			op.Apply(x, y)
+			if applies++; applies > 30 { // clean through the first steps
+				y[0] = math.NaN()
+			}
+		})
+	}}
+	res, err := s.Solve(q)
+	if !errors.Is(err, krylov.ErrNonFinite) {
+		t.Fatalf("err = %v, want krylov.ErrNonFinite", err)
+	}
+	step := len(res.Steps)
+	if step == 0 || !strings.Contains(err.Error(), fmt.Sprintf("step %d ", step)) {
+		t.Errorf("err %q does not name the failing step %d", err, step)
 	}
 }
